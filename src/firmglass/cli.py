@@ -58,8 +58,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--threads", type=int, default=1, help="parallel workers")
-    parser.add_argument("--engine", choices=("auto", "numba", "python"),
-                        default="auto", help="simulation engine")
     parser.add_argument("--out", type=str, default=None,
                         help="output file (stdout when absent)")
     parser.add_argument("--format", choices=("json", "csv"), default="json",
@@ -120,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--seed", type=int, default=None,
                        help="override the preset master seed")
     p_rep.add_argument("--threads", type=int, default=1)
-    p_rep.add_argument("--engine", choices=("auto", "numba", "python"), default="auto")
     p_rep.add_argument("--out", type=str, default=None)
     p_rep.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -160,7 +157,7 @@ def _write_output(payload: str, path: str | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _make_spec(args, (args.j0,), f_mode=args.f_mode)
-    result = run_sweep(spec, threads=args.threads, engine=args.engine, progress=True)
+    result = run_sweep(spec, threads=args.threads, progress=True)
     emit(result, format=args.format, path=args.out)
     return 0
 
@@ -189,7 +186,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _ConfigError(f"--j0-points must be >= 2, got {args.j0_points}")
     values = tuple(np.linspace(args.j0_min, args.j0_max, args.j0_points))
     spec = _make_spec(args, values, f_mode=args.f_mode)
-    result = run_sweep(spec, threads=args.threads, engine=args.engine, progress=True)
+    result = run_sweep(spec, threads=args.threads, progress=True)
     emit(result, format=args.format, path=args.out)
     return 0
 
@@ -296,7 +293,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         spec = preset_spec(args.preset, **kwargs)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    result = run_sweep(spec, threads=args.threads, engine=args.engine, progress=True)
+    result = run_sweep(spec, threads=args.threads, progress=True)
     emit(result, format=args.format, path=args.out)
     return 0
 

@@ -21,24 +21,23 @@ Conventions the rest of the package relies on:
 * all randomness flows through a single ``numpy.random.Generator`` in a
   fixed draw order, so a realization is a pure function of its seed.
 
-A time step has two implementations: ``time_step``, the pure-Python
-reference built from ``micro_update``, and ``kernel_time_step``, which
-drives the fast path in :mod:`firmglass.kernels`.  ``run_realization``
-chooses one per engine.  The two are kept bit-identical: same draw order,
-same scalar arithmetic, so the same seed yields the same trajectory on
-either engine.
+One engine, :func:`advance`, runs every micro-update: ``time_step`` feeds
+it a whole step's firm order and uniforms, ``micro_update`` a single firm.
+It is written for the interpreter: it reads the state element by element
+as Python floats and ints, and runs a vectorized numpy operation only to
+add and subtract a coupling row when a move flips.
+The heat-bath weights come from :func:`heat_bath_weights`, which
+:func:`conditional_spin_distribution` uses too, so the probabilities the
+dynamics samples are exactly the ones that function reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
-
-from . import kernels
 
 SPIN_VALUES = (-1, 0, 1)
 
@@ -104,6 +103,10 @@ class ModelParams:
             raise ValueError(f"r_max must be >= 1, got {self.r_max}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (math.isfinite(self.j0) and math.isfinite(self.sigma_j)):
+            raise ValueError(
+                f"j0 and sigma_j must be finite, got j0={self.j0}, sigma_j={self.sigma_j}"
+            )
         if self.sigma_j < 0:
             raise ValueError(f"sigma_j must be >= 0, got {self.sigma_j}")
         if set(self.f_table) != set(SPIN_VALUES):
@@ -111,15 +114,12 @@ class ModelParams:
                 f"f_table must have exactly the keys {SPIN_VALUES}, "
                 f"got {sorted(self.f_table)}"
             )
+        if not all(math.isfinite(f) for f in self.f_table.values()):
+            raise ValueError(f"f_table values must be finite, got {dict(self.f_table)}")
         if self.selection not in SELECTION_MODES:
             raise ValueError(
                 f"selection must be one of {SELECTION_MODES}, got {self.selection!r}"
             )
-
-
-def f_vector(f_table: Mapping[int, float]) -> np.ndarray:
-    """Drift table as a length-3 array ordered (f(-1), f(0), f(+1))."""
-    return np.array([f_table[s] for s in SPIN_VALUES], dtype=np.float64)
 
 
 @dataclass
@@ -166,13 +166,6 @@ class RealizationOutcome:
     nd_trajectory: tuple[int, ...] | None = None
 
 
-@lru_cache(maxsize=8)
-def _upper_triangle(n_firms: int) -> tuple[np.ndarray, np.ndarray]:
-    # cached read-only index pair; recomputing it per realization would cost
-    # more than the Gaussian draws at N=1000
-    return np.triu_indices(n_firms, k=1)
-
-
 def sample_coupling_matrix(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """Draw a symmetric, zero-diagonal Gaussian coupling matrix.
 
@@ -180,19 +173,30 @@ def sample_coupling_matrix(params: ModelParams, rng: np.random.Generator) -> np.
     draw; the lower triangle mirrors it.  Exactly N(N-1)/2 normal variates
     are consumed from ``rng``, independent of sigma_j.
     """
-    rows, cols = _upper_triangle(params.n_firms)
-    draws = rng.normal(params.j0, params.sigma_j, size=rows.shape[0])
-    couplings = np.zeros((params.n_firms, params.n_firms))
-    couplings[rows, cols] = draws
-    couplings[cols, rows] = draws
+    n = params.n_firms
+    draws = rng.normal(params.j0, params.sigma_j, size=n * (n - 1) // 2)
+    couplings = np.zeros((n, n))
+    # the draws fill the upper triangle row by row; row i's slice also fills
+    # column i below the diagonal
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        couplings[i, i + 1:] = couplings[i + 1:, i] = draws[start:stop]
+        start = stop
     return couplings
 
 
 def compute_local_fields(couplings: np.ndarray, spins: np.ndarray) -> np.ndarray:
-    """From-scratch field cache: column v + 1 holds sum_j J[i, j] * (s_j == v)."""
+    """From-scratch field cache: column v + 1 holds sum_j J[i, j] * (s_j == v).
+
+    Sums the rows of the firms whose move is v, which is the same because
+    the couplings are symmetric, and is what the flip updates accumulate.
+    A plain reduction rather than a matrix-vector product: a BLAS call would
+    wake BLAS worker threads, which then spin on CPU time nothing uses.
+    """
     fields = np.empty((couplings.shape[0], 3))
     for v in SPIN_VALUES:
-        fields[:, v + 1] = couplings @ (spins == v).astype(np.float64)
+        fields[:, v + 1] = couplings[spins == v].sum(axis=0)
     return fields
 
 
@@ -213,26 +217,34 @@ def initial_state(
     )
 
 
+def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+    """Unnormalized heat-bath weights of three exponents, overflow-guarded.
+
+    Returns (exp(a - m), exp(b - m), exp(c - m), m) with m the largest
+    exponent, so the weights lie in [0, 1], the largest is exactly 1 and
+    their sum stays finite for any field magnitude.
+    """
+    shift = a
+    if b > shift:
+        shift = b
+    if c > shift:
+        shift = c
+    return math.exp(a - shift), math.exp(b - shift), math.exp(c - shift), shift
+
+
 def conditional_spin_distribution(
     state: EnsembleState, firm: int, f_table: Mapping[int, float]
 ) -> LocalDistribution:
     """Heat-bath conditional P(move = v) for one firm given everyone else.
 
     P(v) is proportional to exp(h(v) + f(v)) with h read from the field
-    cache.  Exponents are shifted by their maximum before exponentiation so
-    the normalizer stays finite for arbitrarily large fields.
-
-    The scalar arithmetic here is mirrored verbatim by the compiled kernel;
-    keep the two in sync (see kernels.advance_one_step).
+    cache.  The weights come from :func:`heat_bath_weights`, the same helper
+    :func:`advance` samples from.
     """
-    row = state.local_fields[firm]
-    a = float(row[0]) + f_table[-1]
-    b = float(row[1]) + f_table[0]
-    c = float(row[2]) + f_table[1]
-    shift = max(a, b, c)
-    ea = math.exp(a - shift)
-    eb = math.exp(b - shift)
-    ec = math.exp(c - shift)
+    h_down, h_stay, h_up = state.local_fields[firm].tolist()
+    ea, eb, ec, shift = heat_bath_weights(
+        h_down + f_table[-1], h_stay + f_table[0], h_up + f_table[1]
+    )
     z = ea + eb + ec
     return LocalDistribution(
         probs=np.array([ea / z, eb / z, ec / z]), z_norm=z, shift=shift
@@ -253,6 +265,59 @@ def apply_rating_barrier(rating: int, spin: int, r_max: int) -> int:
     return rating + spin
 
 
+def advance(
+    state: EnsembleState,
+    couplings: np.ndarray,
+    params: ModelParams,
+    order: Sequence[int],
+    uniforms: Sequence[float],
+) -> None:
+    """Micro-updates of the firms in ``order``, the k-th decided by ``uniforms[k]``.
+
+    Each micro-update resamples the firm's move from its heat-bath
+    conditional: the move is -1 if u < P(-1), 0 if u < P(-1) + P(0) and +1
+    otherwise.  If the move changed, every firm's cached field is adjusted
+    in one O(N) pass (the old move's column loses this firm's coupling row,
+    the new move's column gains it).  The rating then moves at once, so a
+    firm selected twice can move twice.  The barrier rule is
+    :func:`apply_rating_barrier`'s, inlined because a call per micro-update
+    costs more than the rule itself.
+
+    ``order`` and ``uniforms`` are best passed as lists of Python ints and
+    floats: the loop runs in the interpreter, where numpy scalars are slow.
+    """
+    f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)
+    r_max = params.r_max
+    spins, ratings = state.spins, state.ratings
+    spin_at, rating_at = spins.item, ratings.item
+    fields = state.local_fields
+    field_row = fields.__getitem__
+    columns = (fields[:, 0], fields[:, 1], fields[:, 2])
+    subtract, add = np.subtract, np.add
+    for firm, u in zip(order, uniforms):
+        h_down, h_stay, h_up = field_row(firm).tolist()
+        ea, eb, ec, _ = heat_bath_weights(h_down + f_down, h_stay + f_stay, h_up + f_up)
+        z = ea + eb + ec
+        p_down = ea / z
+        if u < p_down:
+            new = -1
+        elif u < p_down + eb / z:
+            new = 0
+        else:
+            new = 1
+        old = spin_at(firm)
+        if new != old:
+            row = couplings[firm]
+            column = columns[old + 1]
+            subtract(column, row, out=column)
+            column = columns[new + 1]
+            add(column, row, out=column)
+            spins[firm] = new
+        rating = rating_at(firm)
+        if rating != 0 and (rating != r_max or new != 1):
+            ratings[firm] = rating + new
+
+
 def micro_update(
     state: EnsembleState,
     couplings: np.ndarray,
@@ -260,28 +325,8 @@ def micro_update(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> None:
-    """Resample one firm's move, refresh the field cache, move its rating.
-
-    If the move changed, the cached fields of every firm are adjusted in one
-    O(N) pass (column of the old move loses this firm's couplings, column of
-    the new move gains them).  The rating is updated immediately, so a firm
-    selected twice within a step can move twice.
-    """
-    dist = conditional_spin_distribution(state, firm, params.f_table)
-    u = rng.random()
-    if u < dist.probs[0]:
-        new = -1
-    elif u < dist.probs[0] + dist.probs[1]:
-        new = 0
-    else:
-        new = 1
-    old = int(state.spins[firm])
-    if new != old:
-        row = couplings[firm]
-        state.local_fields[:, old + 1] -= row
-        state.local_fields[:, new + 1] += row
-        state.spins[firm] = new
-    state.ratings[firm] = apply_rating_barrier(int(state.ratings[firm]), new, params.r_max)
+    """Resample one firm's move with one uniform from ``rng``; see :func:`advance`."""
+    advance(state, couplings, params, (firm,), (rng.random(),))
 
 
 def draw_update_order(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
@@ -297,75 +342,40 @@ def time_step(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> None:
-    """One time step: exactly ``n_firms`` micro-updates on drawn firms."""
-    for firm in draw_update_order(params, rng):
-        micro_update(state, couplings, int(firm), params, rng)
+    """One time step: exactly ``n_firms`` micro-updates on drawn firms.
 
-
-def kernel_time_step(
-    state: EnsembleState,
-    couplings: np.ndarray,
-    params: ModelParams,
-    rng: np.random.Generator,
-) -> None:
-    """One time step through :func:`kernels.advance_one_step`.
-
-    Draws the firm order, then one uniform per micro-update, in the order
-    :func:`time_step` consumes them, so both advance a state identically.
-    The kernel is compiled when numba imports and interpreted otherwise.
+    Draws the firm order, then one uniform per micro-update, the order in
+    which ``n_firms`` calls of :func:`micro_update` would consume them.
     """
     order = draw_update_order(params, rng)
     uniforms = rng.random(params.n_firms)
-    kernels.advance_one_step(
-        couplings,
-        state.ratings,
-        state.spins,
-        state.local_fields,
-        f_vector(params.f_table),
-        params.r_max,
-        order,
-        uniforms,
-    )
+    advance(state, couplings, params, order.tolist(), uniforms.tolist())
 
 
 def count_defaults(state: EnsembleState) -> int:
     return int(np.count_nonzero(state.ratings == 0))
 
 
-def resolve_engine(engine: str) -> str:
-    """Map 'auto' to the fastest available engine; validate explicit choices."""
-    if engine == "auto":
-        return "numba" if kernels.NUMBA_AVAILABLE else "python"
-    if engine == "numba" and not kernels.NUMBA_AVAILABLE:
-        raise RuntimeError("numba engine requested but numba is not importable")
-    if engine not in ("numba", "python"):
-        raise ValueError(f"engine must be 'auto', 'numba' or 'python', got {engine!r}")
-    return engine
-
-
 def run_realization(
     params: ModelParams,
     seed: int | np.random.SeedSequence,
     *,
-    engine: str = "auto",
     record_trajectory: bool = False,
 ) -> RealizationOutcome:
     """Simulate one full realization from a seed.
 
     Draws a fresh coupling matrix and initial state, advances ``steps`` time
-    steps and counts defaulted firms.  Deterministic: the same (params, seed)
-    pair yields the same outcome regardless of engine, because both engines
-    consume the generator in the same order (couplings, ratings, moves, then
-    per step: firm order, then one uniform per micro-update) and share the
-    same scalar arithmetic.
+    steps and counts defaulted firms.  Deterministic: the generator is
+    consumed in a fixed order (couplings, ratings, moves, then per step:
+    firm order, then one uniform per micro-update), so the same
+    (params, seed) pair always yields the same outcome.
     """
     rng = np.random.default_rng(seed)
     couplings = sample_coupling_matrix(params, rng)
     state = initial_state(params, couplings, rng)
-    step = kernel_time_step if resolve_engine(engine) == "numba" else time_step
     trajectory: list[int] | None = [] if record_trajectory else None
     for _ in range(params.steps):
-        step(state, couplings, params, rng)
+        time_step(state, couplings, params, rng)
         if trajectory is not None:
             trajectory.append(count_defaults(state))
     return RealizationOutcome(

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
-from .core import ModelParams, resolve_engine, run_realization
+from . import __version__
+from .core import ModelParams, run_realization
 from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
 
@@ -56,6 +56,10 @@ class SweepSpec:
             )
         if self.f_mode not in F_MODES:
             raise ValueError(f"f_mode must be one of {F_MODES}, got {self.f_mode!r}")
+        if self.f_mode == "zero" and any(f != 0.0 for f in self.base.f_table.values()):
+            raise ValueError(
+                f"f_mode 'zero' needs an all-zero f_table, got {dict(self.base.f_table)}"
+            )
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base, **{self.sweep_variable: value})
@@ -72,9 +76,9 @@ class SweepPoint:
 class SweepResult:
     """Per-value statistics and phase predictions plus run metadata.
 
-    ``metadata`` carries the package version, resolved engine, wall time and
-    any values that failed on resource exhaustion; everything needed to
-    reproduce the run bit-identically lives in ``spec``.
+    ``metadata`` carries the package version, wall time and any values that
+    failed on resource exhaustion; everything needed to reproduce the run
+    bit-identically lives in ``spec``.
     """
 
     spec: SweepSpec
@@ -89,9 +93,9 @@ class SweepResult:
         return self.points[self.argmin_index].sweep_value
 
 
-def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence, str]) -> int:
-    params, seed_seq, engine = task
-    return run_realization(params, seed_seq, engine=engine).nd
+def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
+    params, seed_seq = task
+    return run_realization(params, seed_seq).nd
 
 
 def run_ensemble(
@@ -100,7 +104,6 @@ def run_ensemble(
     master_seed: int | np.random.SeedSequence,
     *,
     threads: int = 1,
-    engine: str = "auto",
     bin_width: int = 1,
 ) -> EnsembleStats:
     """K independent realizations, each with fresh couplings and initial state.
@@ -119,11 +122,10 @@ def run_ensemble(
         else np.random.SeedSequence(master_seed)
     )
     children = root.spawn(k_realizations)
-    tasks = [(params, child, engine) for child in children]
+    tasks = [(params, child) for child in children]
     if threads == 1 or k_realizations == 1:
         nd_values = [_realization_nd(task) for task in tasks]
     else:
-        kernels.warm_up()  # compile before forking so workers inherit the JIT
         with ProcessPoolExecutor(
             max_workers=threads, mp_context=get_context("fork")
         ) as pool:
@@ -136,7 +138,6 @@ def run_sweep(
     spec: SweepSpec,
     *,
     threads: int = 1,
-    engine: str = "auto",
     bin_width: int = 1,
     progress: bool = False,
 ) -> SweepResult:
@@ -165,7 +166,6 @@ def run_sweep(
                 spec.k_realizations,
                 value_seeds[index],
                 threads=threads,
-                engine=engine,
                 bin_width=bin_width,
             )
         except MemoryError as exc:
@@ -181,7 +181,6 @@ def run_sweep(
         )
     metadata = {
         "package_version": __version__,
-        "engine": resolve_engine(engine),
         "wall_time_s": time.perf_counter() - started,
         "failed_values": failed,
     }
