@@ -35,7 +35,6 @@ spec = SweepSpec(
     values=tuple(np.round(J0N_GRID / N_FIRMS, 12)),
     k_realizations=K,
     master_seed=11,
-    f_mode="constant_table",
 )
 
 result = run_sweep(spec, progress=True)

@@ -10,20 +10,11 @@ mean-field theory with an exact single-firm Markov oracle.
 __version__ = "0.1.0"
 
 from .core import (
-    EnsembleState,
-    LocalDistribution,
     ModelParams,
     RATING_DRIFT_WEIGHTS,
     RealizationOutcome,
-    apply_rating_barrier,
-    compute_local_fields,
-    conditional_spin_distribution,
     f_table_from_weights,
-    initial_state,
-    micro_update,
     run_realization,
-    sample_coupling_matrix,
-    time_step,
     zero_f_table,
 )
 from .experiment import (
@@ -47,7 +38,6 @@ from .meanfield import (
     default_fraction_markov,
     effective_beta,
     mean_field_fixed_points,
-    mean_field_map,
     ordered_phase_default_fraction,
     predict_phase,
     rating_transition_matrix,
@@ -61,9 +51,7 @@ from .riskstats import (
 )
 
 __all__ = [
-    "EnsembleState",
     "EnsembleStats",
-    "LocalDistribution",
     "MeanFieldPoint",
     "ModelParams",
     "PRESET_NAMES",
@@ -73,10 +61,7 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
-    "apply_rating_barrier",
     "closed_form_deviation_grid",
-    "compute_local_fields",
-    "conditional_spin_distribution",
     "critical_beta",
     "default_fraction_closed_form",
     "default_fraction_markov",
@@ -85,11 +70,8 @@ __all__ = [
     "ensemble_stats",
     "f_table_from_weights",
     "histogram",
-    "initial_state",
     "mean_field_fixed_points",
-    "mean_field_map",
     "mean_nd",
-    "micro_update",
     "ordered_phase_default_fraction",
     "predict_phase",
     "preset_spec",
@@ -99,8 +81,6 @@ __all__ = [
     "run_ensemble",
     "run_realization",
     "run_sweep",
-    "sample_coupling_matrix",
-    "time_step",
     "upper_semivariance",
     "zero_f_table",
 ]

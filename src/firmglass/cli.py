@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .experiment import (
     emit,
     preset_spec,
     run_sweep,
+    write_payload,
 )
 from .meanfield import (
     closed_form_deviation_grid,
@@ -148,21 +148,7 @@ def _params_from_args(args: argparse.Namespace, j0: float) -> ModelParams:
         raise _ConfigError(str(exc)) from exc
 
 
-def _write_output(payload: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(payload)
-    else:
-        Path(path).write_text(payload, encoding="utf-8")
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _make_spec(args, (args.j0,), f_mode=args.f_mode)
-    result = run_sweep(spec, threads=args.threads, progress=True)
-    emit(result, format=args.format, path=args.out)
-    return 0
-
-
-def _make_spec(args: argparse.Namespace, values: tuple[float, ...], f_mode: str) -> SweepSpec:
+def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec:
     base = _params_from_args(args, values[0])
     try:
         return SweepSpec(
@@ -171,13 +157,16 @@ def _make_spec(args: argparse.Namespace, values: tuple[float, ...], f_mode: str)
             values=values,
             k_realizations=args.k,
             master_seed=args.seed,
-            f_mode=f_mode,
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _run_spec(args: argparse.Namespace) -> SweepSpec:
+    return _make_spec(args, (args.j0,))
+
+
+def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
     if args.j0_max <= args.j0_min:
         raise _ConfigError(
             f"--j0-max ({args.j0_max}) must be greater than --j0-min ({args.j0_min})"
@@ -185,10 +174,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.j0_points < 2:
         raise _ConfigError(f"--j0-points must be >= 2, got {args.j0_points}")
     values = tuple(np.linspace(args.j0_min, args.j0_max, args.j0_points))
-    spec = _make_spec(args, values, f_mode=args.f_mode)
-    result = run_sweep(spec, threads=args.threads, progress=True)
-    emit(result, format=args.format, path=args.out)
-    return 0
+    return _make_spec(args, values)
 
 
 def _meanfield_betas(args: argparse.Namespace) -> list[float]:
@@ -215,7 +201,7 @@ def _meanfield_betas(args: argparse.Namespace) -> list[float]:
     return list(np.linspace(beta_min, beta_max, args.beta_points))
 
 
-def _cmd_meanfield(args: argparse.Namespace) -> int:
+def _meanfield_payload(args: argparse.Namespace) -> str:
     betas = _meanfield_betas(args)
     if any(beta < 0 for beta in betas):
         raise _ConfigError("beta range must be non-negative")
@@ -239,27 +225,24 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "json":
-        payload = json.dumps(
+        return json.dumps(
             {"beta_scaling": args.beta_scaling, "steps": args.steps,
              "r_max": args.rmax, "betas": records},
             indent=2,
         ) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["beta", "p_up", "q_down", "stable", "nd_fraction"])
-        for record in records:
-            for point in record["fixed_points"]:
-                writer.writerow(
-                    [record["beta"], point["p_up"], point["q_down"],
-                     point["stable"], point["nd_fraction"]]
-                )
-        payload = buffer.getvalue()
-    _write_output(payload, args.out)
-    return 0
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["beta", "p_up", "q_down", "stable", "nd_fraction"])
+    for record in records:
+        for point in record["fixed_points"]:
+            writer.writerow(
+                [record["beta"], point["p_up"], point["q_down"],
+                 point["stable"], point["nd_fraction"]]
+            )
+    return buffer.getvalue()
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _oracle_payload(args: argparse.Namespace) -> str:
     if args.grid:
         if not 0 < args.grid_step <= 1:
             raise _ConfigError(f"--grid-step must be in (0, 1], got {args.grid_step}")
@@ -268,8 +251,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         writer.writerow(["p_up", "q_down", "markov", "closed_form", "abs_deviation"])
         for row in closed_form_deviation_grid(args.grid_step, args.steps, args.rmax):
             writer.writerow(list(row))
-        _write_output(buffer.getvalue(), args.out)
-        return 0
+        return buffer.getvalue()
     if args.p is None or args.q is None:
         raise _ConfigError("--p and --q are required unless --grid is given")
     if args.p < 0 or args.q < 0 or args.p + args.q > 1 + 1e-9:
@@ -281,30 +263,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.steps == 8 and args.rmax == 7:
         closed = default_fraction_closed_form(args.q, args.p)
         lines.append(f"closed-form default fraction: {closed:.6f}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _reproduce_spec(args: argparse.Namespace) -> SweepSpec:
     kwargs = {"n_firms": args.n, "k_realizations": args.k}
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
     try:
-        spec = preset_spec(args.preset, **kwargs)
+        return preset_spec(args.preset, **kwargs)
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    result = run_sweep(spec, threads=args.threads, progress=True)
-    emit(result, format=args.format, path=args.out)
-    return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "meanfield": _cmd_meanfield,
-    "oracle": _cmd_oracle,
-    "reproduce": _cmd_reproduce,
-}
+# commands that simulate build a sweep; the analytic ones build their output
+_SPEC_BUILDERS = {"run": _run_spec, "sweep": _sweep_spec, "reproduce": _reproduce_spec}
+_PAYLOAD_BUILDERS = {"meanfield": _meanfield_payload, "oracle": _oracle_payload}
 
 
 def cli(argv: list[str] | None = None) -> int:
@@ -317,13 +291,19 @@ def cli(argv: list[str] | None = None) -> int:
         # latter into the configuration-error code
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        if args.command in _SPEC_BUILDERS:
+            spec = _SPEC_BUILDERS[args.command](args)
+            result = run_sweep(spec, threads=args.threads, progress=True)
+            emit(result, format=args.format, path=args.out)
+        else:
+            write_payload(_PAYLOAD_BUILDERS[args.command](args), args.out)
     except _ConfigError as exc:
         print(f"firmglass: configuration error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"firmglass: runtime failure: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -27,14 +27,16 @@ It is written for the interpreter: it reads the state element by element
 as Python floats and ints, and runs a vectorized numpy operation only to
 add and subtract a coupling row when a move flips.
 The heat-bath weights come from :func:`heat_bath_weights`, which
-:func:`conditional_spin_distribution` uses too, so the probabilities the
-dynamics samples are exactly the ones that function reports.
+:func:`conditional_spin_distribution` and the mean-field map use too, so
+the probabilities the dynamics samples are exactly the ones that function
+reports, and the mean-field theory applies the same softmax.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -97,6 +99,10 @@ class ModelParams:
     selection: str = "with_replacement"
 
     def __post_init__(self) -> None:
+        sizes = {"n_firms": self.n_firms, "r_max": self.r_max, "steps": self.steps}
+        for name, value in sizes.items():
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_firms < 1:
             raise ValueError(f"n_firms must be >= 1, got {self.n_firms}")
         if self.r_max < 1:
@@ -135,25 +141,6 @@ class EnsembleState:
     ratings: np.ndarray      # (N,) int64 in [0, r_max]
     spins: np.ndarray        # (N,) int64 in {-1, 0, +1}
     local_fields: np.ndarray  # (N, 3) float64, column v + 1 for move v
-
-
-@dataclass
-class LocalDistribution:
-    """Heat-bath conditional for one firm's move.
-
-    ``probs`` is ordered (P(-1), P(0), P(+1)).  ``z_norm`` is the normalizer
-    after the overflow guard shifted all exponents by ``shift`` (the largest
-    exponent), so the unshifted normalizer is ``z_norm * exp(shift)`` and its
-    logarithm ``shift + log(z_norm)`` is finite for any field magnitude.
-    """
-
-    probs: np.ndarray
-    z_norm: float
-    shift: float
-
-    @property
-    def log_z(self) -> float:
-        return self.shift + math.log(self.z_norm)
 
 
 @dataclass
@@ -217,10 +204,10 @@ def initial_state(
     )
 
 
-def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float, float]:
+def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float]:
     """Unnormalized heat-bath weights of three exponents, overflow-guarded.
 
-    Returns (exp(a - m), exp(b - m), exp(c - m), m) with m the largest
+    Returns (exp(a - m), exp(b - m), exp(c - m)) with m the largest
     exponent, so the weights lie in [0, 1], the largest is exactly 1 and
     their sum stays finite for any field magnitude.
     """
@@ -229,26 +216,24 @@ def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float
         shift = b
     if c > shift:
         shift = c
-    return math.exp(a - shift), math.exp(b - shift), math.exp(c - shift), shift
+    return math.exp(a - shift), math.exp(b - shift), math.exp(c - shift)
 
 
 def conditional_spin_distribution(
     state: EnsembleState, firm: int, f_table: Mapping[int, float]
-) -> LocalDistribution:
-    """Heat-bath conditional P(move = v) for one firm given everyone else.
+) -> np.ndarray:
+    """Heat-bath conditional (P(-1), P(0), P(+1)) for one firm's move.
 
     P(v) is proportional to exp(h(v) + f(v)) with h read from the field
     cache.  The weights come from :func:`heat_bath_weights`, the same helper
     :func:`advance` samples from.
     """
     h_down, h_stay, h_up = state.local_fields[firm].tolist()
-    ea, eb, ec, shift = heat_bath_weights(
+    ea, eb, ec = heat_bath_weights(
         h_down + f_table[-1], h_stay + f_table[0], h_up + f_table[1]
     )
     z = ea + eb + ec
-    return LocalDistribution(
-        probs=np.array([ea / z, eb / z, ec / z]), z_norm=z, shift=shift
-    )
+    return np.array([ea / z, eb / z, ec / z])
 
 
 def apply_rating_barrier(rating: int, spin: int, r_max: int) -> int:
@@ -296,7 +281,7 @@ def advance(
     subtract, add = np.subtract, np.add
     for firm, u in zip(order, uniforms):
         h_down, h_stay, h_up = field_row(firm).tolist()
-        ea, eb, ec, _ = heat_bath_weights(h_down + f_down, h_stay + f_stay, h_up + f_up)
+        ea, eb, ec = heat_bath_weights(h_down + f_down, h_stay + f_stay, h_up + f_up)
         z = ea + eb + ec
         p_down = ea / z
         if u < p_down:

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -26,7 +27,6 @@ from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
 
 SWEEP_VARIABLES = ("j0", "sigma_j")
-F_MODES = ("zero", "constant_table")
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class SweepSpec:
     values: tuple[float, ...]
     k_realizations: int
     master_seed: int
-    f_mode: str = "zero"
 
     def __post_init__(self) -> None:
         if self.sweep_variable not in SWEEP_VARIABLES:
@@ -54,12 +53,13 @@ class SweepSpec:
             raise ValueError(
                 f"k_realizations must be >= 1, got {self.k_realizations}"
             )
-        if self.f_mode not in F_MODES:
-            raise ValueError(f"f_mode must be one of {F_MODES}, got {self.f_mode!r}")
-        if self.f_mode == "zero" and any(f != 0.0 for f in self.base.f_table.values()):
-            raise ValueError(
-                f"f_mode 'zero' needs an all-zero f_table, got {dict(self.base.f_table)}"
-            )
+
+    @property
+    def f_mode(self) -> str:
+        """``"zero"`` when every drift value is 0, else ``"constant_table"``."""
+        if all(f == 0.0 for f in self.base.f_table.values()):
+            return "zero"
+        return "constant_table"
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base, **{self.sweep_variable: value})
@@ -143,8 +143,9 @@ def run_sweep(
 ) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
-    A value that exhausts memory is recorded under metadata["failed_values"]
-    and skipped; the remaining values are unaffected.
+    A value that exhausts memory or loses a worker process is recorded under
+    metadata["failed_values"] and skipped; the remaining values are
+    unaffected.
     """
     started = time.perf_counter()
     root = np.random.SeedSequence(spec.master_seed)
@@ -168,8 +169,8 @@ def run_sweep(
                 threads=threads,
                 bin_width=bin_width,
             )
-        except MemoryError as exc:
-            failed[repr(value)] = f"resource exhaustion: {exc}"
+        except (MemoryError, BrokenProcessPool) as exc:
+            failed[repr(value)] = f"{type(exc).__name__}: {exc}"
             continue
         points.append(
             SweepPoint(sweep_value=value, stats=stats, phase=predict_phase(params))
@@ -248,7 +249,11 @@ def result_to_dict(result: SweepResult) -> dict:
 
 
 def result_from_dict(doc: dict) -> SweepResult:
-    """Inverse of :func:`result_to_dict`."""
+    """Inverse of :func:`result_to_dict`.
+
+    Raises ValueError when the document's ``f_mode`` contradicts its
+    ``f_table``, since the mode is derived from the table.
+    """
     base = ModelParams(
         n_firms=doc["base_params"]["n_firms"],
         j0=doc["base_params"]["j0"],
@@ -264,8 +269,12 @@ def result_from_dict(doc: dict) -> SweepResult:
         values=tuple(doc["values"]),
         k_realizations=doc["k_realizations"],
         master_seed=doc["master_seed"],
-        f_mode=doc["f_mode"],
     )
+    if doc["f_mode"] != spec.f_mode:
+        raise ValueError(
+            f"f_mode {doc['f_mode']!r} contradicts the f_table, which makes it "
+            f"{spec.f_mode!r}"
+        )
     points = [
         SweepPoint(
             sweep_value=entry["sweep_value"],
@@ -332,6 +341,11 @@ def emit(result: SweepResult, format: str = "json", path: str | Path | None = No
         payload = result_to_csv(result)
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
+    write_payload(payload, path)
+
+
+def write_payload(payload: str, path: str | Path | None) -> None:
+    """Write text to ``path``, or stdout if None; a failure names the path."""
     if path is None:
         sys.stdout.write(payload)
         return
@@ -348,14 +362,13 @@ def emit(result: SweepResult, format: str = "json", path: str | Path | None = No
 _DEFAULT_PRESET_SEED = 20_260_809
 
 
-def _j0_sweep(base: ModelParams, values, k: int, seed: int, f_mode: str) -> SweepSpec:
+def _j0_sweep(base: ModelParams, values, k: int, seed: int) -> SweepSpec:
     return SweepSpec(
         base=base,
         sweep_variable="j0",
         values=tuple(float(v) for v in values),
         k_realizations=k,
         master_seed=seed,
-        f_mode=f_mode,
     )
 
 
@@ -376,19 +389,19 @@ def preset_spec(
     zero = ModelParams(n_firms=n_firms, sigma_j=0.001)
     if name == "fig1":
         # weak-coupling default-count distribution
-        return _j0_sweep(zero, [0.0001], k_realizations, master_seed, "zero")
+        return _j0_sweep(zero, [0.0001], k_realizations, master_seed)
     if name == "fig2":
         # strong-coupling (collective) default-count distribution
-        return _j0_sweep(zero, [0.02], k_realizations, master_seed, "zero")
+        return _j0_sweep(zero, [0.02], k_realizations, master_seed)
     if name in ("fig3-4", "fig5"):
         # mean defaults and semivariance across the transition, f == 0
         values = np.round(np.linspace(0.0, 0.008, 17), 12)
-        return _j0_sweep(zero, values, k_realizations, master_seed, "zero")
+        return _j0_sweep(zero, values, k_realizations, master_seed)
     if name == "fig6-7":
         # same sweep in the strong-disorder (glass) regime
         glassy = ModelParams(n_firms=n_firms, sigma_j=0.2)
         values = np.round(np.linspace(0.0, 0.02, 11), 12)
-        return _j0_sweep(glassy, values, k_realizations, master_seed, "zero")
+        return _j0_sweep(glassy, values, k_realizations, master_seed)
     if name == "fig8-9":
         # drift-field case: j0 * N in [0, 40]
         from .core import RATING_DRIFT_WEIGHTS, f_table_from_weights
@@ -399,7 +412,7 @@ def preset_spec(
             f_table=f_table_from_weights(*RATING_DRIFT_WEIGHTS),
         )
         values = np.round(np.linspace(0.0, 40.0, 21) / n_firms, 12)
-        return _j0_sweep(drift, values, k_realizations, master_seed, "constant_table")
+        return _j0_sweep(drift, values, k_realizations, master_seed)
     raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
 
 

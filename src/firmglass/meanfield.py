@@ -13,6 +13,12 @@ population contributes j0 * N * x to the exponent, so beta = j0 * n_firms
 kept selectable for comparison; under it the instability would sit at j0 = 3
 instead of at the observed critical coupling 3 / N.
 
+The map applies the simulation's heat-bath softmax
+(:func:`core.heat_bath_weights`) to the occupied fractions.  Stability comes
+from the map's exact 2x2 Jacobian (:func:`mean_field_jacobian`), which needs
+no evaluation off the simplex, so fixed points at the ordered corners are
+classified for any beta >= 0.
+
 Two independent routes predict the default fraction reached from uniformly
 distributed starting ratings:
 
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams
+from .core import ModelParams, heat_bath_weights
 
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
@@ -96,33 +102,31 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
 
     The updated (p_up, q_down) are the softmax weights of the three moves
     under exponents beta * (occupied fraction of each move); the stay
-    fraction is 1 - p_up - q_down.  Exponents are max-shifted, so any
-    beta >= 0 is safe.
+    fraction is 1 - p_up - q_down.  The weights come from
+    :func:`heat_bath_weights`, whose max shift makes any beta >= 0 safe.
     """
     if p_up + q_down > 1 + _SIMPLEX_TOL:
         raise ValueError(f"p_up + q_down must be <= 1, got {p_up + q_down}")
-    a = beta * p_up
-    b = beta * q_down
-    c = beta * (1.0 - p_up - q_down)
-    shift = max(a, b, c)
-    ea = math.exp(a - shift)
-    eb = math.exp(b - shift)
-    ec = math.exp(c - shift)
+    ea, eb, ec = heat_bath_weights(
+        beta * p_up, beta * q_down, beta * (1.0 - p_up - q_down)
+    )
     z = ea + eb + ec
     return ea / z, eb / z
 
 
-def mean_field_jacobian(
-    p_up: float, q_down: float, beta: float, step: float = 1e-6
-) -> np.ndarray:
-    """Central-difference 2x2 Jacobian of the map at (p_up, q_down)."""
-    jac = np.empty((2, 2))
-    for col, (dp, dq) in enumerate(((step, 0.0), (0.0, step))):
-        plus = mean_field_map(p_up + dp, q_down + dq, beta)
-        minus = mean_field_map(p_up - dp, q_down - dq, beta)
-        jac[0, col] = (plus[0] - minus[0]) / (2 * step)
-        jac[1, col] = (plus[1] - minus[1]) / (2 * step)
-    return jac
+def mean_field_jacobian(p_up: float, q_down: float, beta: float) -> np.ndarray:
+    """Exact 2x2 Jacobian of the map at (p_up, q_down).
+
+    With (u, d) the map's value and s = 1 - u - d, the softmax derivatives
+    through the exponents beta * p_up, beta * q_down and
+    beta * (1 - p_up - q_down) give
+    beta * [[u (1 - u + s), -u (d - s)], [-d (u - s), d (1 - d + s)]].
+    """
+    u, d = mean_field_map(p_up, q_down, beta)
+    s = 1.0 - u - d
+    return beta * np.array(
+        [[u * (1.0 - u + s), -u * (d - s)], [-d * (u - s), d * (1.0 - d + s)]]
+    )
 
 
 def _spectral_radius(jac: np.ndarray) -> float:
@@ -155,33 +159,24 @@ def find_fixed_point(
     return None
 
 
-def mean_field_fixed_points(
-    beta: float,
-    *,
-    grid_points: int = 7,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> list[MeanFieldPoint]:
+def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     """All distinct fixed points found from a simplex grid of starts.
 
-    Starts are the (p, q) grid with both coordinates on ``grid_points``
-    equispaced levels in [0, 1] and p + q <= 1 (28 starts at the default 7
-    levels, which include the symmetric point 1/3).  Duplicates closer than
-    1e-6 are merged; non-convergent starts are dropped.  Stability is the
-    spectral radius of the numeric Jacobian being < 1.
+    Starts are the (p, q) grid with both coordinates on 7 equispaced levels
+    in [0, 1] and p + q <= 1 (28 starts, which include the symmetric point
+    1/3); each runs :func:`find_fixed_point` with its defaults.  Duplicates
+    closer than 1e-6 are merged; non-convergent starts are dropped.
+    Stability is the spectral radius of the exact Jacobian being < 1.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    levels = np.linspace(0.0, 1.0, grid_points)
+    levels = np.linspace(0.0, 1.0, 7)
     found: list[tuple[float, float]] = []
     for p0 in levels:
         for q0 in levels:
             if p0 + q0 > 1 + _SIMPLEX_TOL:
                 continue
-            fp = find_fixed_point(
-                p0, q0, beta, damping=damping, tol=tol, max_iter=max_iter
-            )
+            fp = find_fixed_point(p0, q0, beta)
             if fp is None:
                 continue
             if any(

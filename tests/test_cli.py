@@ -118,6 +118,14 @@ def test_meanfield_json(capsys):
     assert any(point["stable"] and point["q_down"] > 0.9 for point in strong)
 
 
+def test_meanfield_covers_the_ordered_phase(capsys):
+    code, out, _ = run_cli(capsys, "meanfield", "--beta-max", "40")
+    assert code == 0
+    strongest = json.loads(out)["betas"][-1]
+    assert strongest["beta"] == 40.0
+    assert sum(point["stable"] for point in strongest["fixed_points"]) == 3
+
+
 def test_meanfield_j0_conversion(capsys):
     code, out, _ = run_cli(
         capsys, "meanfield", "--j0-min", "0", "--j0-max", "0.004",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from firmglass import core
+from firmglass import cli, core, experiment
 from firmglass.core import (
     EnsembleState,
     ModelParams,
@@ -25,9 +25,9 @@ from firmglass.core import (
 )
 from firmglass.meanfield import default_fraction_markov
 
-# drift tables with one move forced (exp(-600) underflows to exactly 0)
-ALWAYS_UP = {-1: -600.0, 0: -600.0, 1: 0.0}
-ALWAYS_DOWN = {-1: 0.0, 0: -600.0, 1: -600.0}
+# drift tables with one move forced (exp(-1000) underflows to exactly 0)
+ALWAYS_UP = {-1: -1000.0, 0: -1000.0, 1: 0.0}
+ALWAYS_DOWN = {-1: 0.0, 0: -1000.0, 1: -1000.0}
 
 
 def make_state(couplings, ratings, spins):
@@ -58,11 +58,19 @@ def make_state(couplings, ratings, spins):
         {"n_firms": 10, "sigma_j": math.nan},
         {"n_firms": 10, "j0": math.inf},
         {"n_firms": 10, "f_table": {-1: 0.0, 0: math.nan, 1: 0.0}},
+        {"n_firms": 10.5},
+        {"n_firms": 10, "r_max": 3.5},
+        {"n_firms": 10, "steps": 8.0},
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+def test_params_accept_numpy_integers():
+    params = ModelParams(n_firms=np.int64(10), r_max=np.int32(3), steps=np.int64(2))
+    assert run_realization(params, 0).final_ratings.max() <= 3
 
 
 def test_f_table_from_weights():
@@ -148,9 +156,8 @@ def test_initial_state_field_cache():
 
 def test_conditional_isolated_uniform():
     state = make_state(np.zeros((2, 2)), [3, 3], [0, 0])
-    dist = conditional_spin_distribution(state, 0, zero_f_table())
-    assert np.array_equal(dist.probs, np.array([1 / 3, 1 / 3, 1 / 3]))
-    assert dist.z_norm == 3.0
+    probs = conditional_spin_distribution(state, 0, zero_f_table())
+    assert np.array_equal(probs, np.array([1 / 3, 1 / 3, 1 / 3]))
 
 
 def test_conditional_isolated_drift_weights():
@@ -158,8 +165,8 @@ def test_conditional_isolated_drift_weights():
     # weight triple itself
     state = make_state(np.zeros((1, 1)), [3], [0])
     table = f_table_from_weights(0.15, 0.75, 0.10)
-    dist = conditional_spin_distribution(state, 0, table)
-    np.testing.assert_allclose(dist.probs, [0.15, 0.75, 0.10], rtol=0, atol=1e-12)
+    probs = conditional_spin_distribution(state, 0, table)
+    np.testing.assert_allclose(probs, [0.15, 0.75, 0.10], rtol=0, atol=1e-12)
 
 
 def test_conditional_two_aligned_neighbors():
@@ -167,9 +174,9 @@ def test_conditional_two_aligned_neighbors():
     couplings[0, 1] = couplings[1, 0] = 1.0
     couplings[0, 2] = couplings[2, 0] = 1.0
     state = make_state(couplings, [3, 3, 3], [0, 1, 1])
-    dist = conditional_spin_distribution(state, 0, zero_f_table())
+    probs = conditional_spin_distribution(state, 0, zero_f_table())
     expected = math.e**2 / (math.e**2 + 2.0)  # softmax with one exponent of 2
-    assert abs(dist.probs[2] - expected) < 1e-12
+    assert abs(probs[2] - expected) < 1e-12
 
 
 def test_conditional_overflow_guard():
@@ -178,11 +185,9 @@ def test_conditional_overflow_guard():
     state = make_state(np.zeros((1, 1)), [3], [0])
     for _ in range(1000):
         state.local_fields[0] = rng.uniform(-1e6, 1e6, size=3)
-        dist = conditional_spin_distribution(state, 0, zero_f_table())
-        assert abs(float(dist.probs.sum()) - 1.0) <= 1e-12
-        assert np.all(dist.probs >= 0.0) and np.all(dist.probs <= 1.0)
-        assert math.isfinite(dist.log_z)
-        assert 1.0 <= dist.z_norm <= 3.0
+        probs = conditional_spin_distribution(state, 0, zero_f_table())
+        assert abs(float(probs.sum()) - 1.0) <= 1e-12
+        assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,7 @@ def test_barrier_exhaustive():
                     assert result == r_max
                 else:
                     assert result == rating + spin
-                forced = {s: 0.0 if s == spin else -600.0 for s in (-1, 0, 1)}
+                forced = {s: 0.0 if s == spin else -1000.0 for s in (-1, 0, 1)}
                 params = ModelParams(n_firms=1, r_max=r_max, f_table=forced)
                 state = make_state(couplings, [rating], [0])
                 advance(state, couplings, params, (0,), (0.5,))
@@ -372,7 +377,7 @@ def test_advance_thresholds_match_conditional_distribution():
         # magnitudes from 1e-2 to 1e6, so some distributions are spread out
         # and some put all mass on one move
         state.local_fields[0] = rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.uniform(-2, 6)
-        probs = conditional_spin_distribution(state, 0, params.f_table).probs
+        probs = conditional_spin_distribution(state, 0, params.f_table)
         p_down, p_down_or_stay = float(probs[0]), float(probs[0] + probs[1])
         for threshold in (p_down, p_down_or_stay):
             for u in (np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf)):
@@ -388,6 +393,15 @@ def test_core_exposes_replayed_steps():
     for name in ("sample_coupling_matrix", "initial_state", "time_step",
                  "draw_update_order", "micro_update", "count_defaults"):
         assert callable(getattr(core, name, None)), name
+
+
+def test_modules_expose_traced_names():
+    # perfbench's traced sweep patches these module attributes and reports
+    # the layer as absent if one is missing
+    for module, name in ((cli, "run_sweep"), (cli, "emit"),
+                         (experiment, "run_ensemble"), (experiment, "ensemble_stats"),
+                         (experiment, "predict_phase")):
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
 def test_always_up_never_defaults():

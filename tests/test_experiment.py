@@ -1,6 +1,8 @@
 """Tests for ensemble execution, sweeps, serialization and presets."""
 
+import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from firmglass.experiment import (
     SweepSpec,
     emit,
     preset_spec,
+    result_from_dict,
     result_from_json,
     result_to_csv,
     result_to_json,
@@ -49,13 +52,17 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=DESK, sweep_variable="r_max", values=(1.0,),
                   k_realizations=2, master_seed=0)
-    with pytest.raises(ValueError):
-        SweepSpec(base=DESK, sweep_variable="j0", values=(0.0,),
-                  k_realizations=2, master_seed=0, f_mode="empirical")
+
+
+def test_f_mode_is_derived_from_f_table():
+    assert desk_spec().f_mode == "zero"
     drift = replace(DESK, f_table=f_table_from_weights(0.15, 0.75, 0.10))
-    with pytest.raises(ValueError):
-        SweepSpec(base=drift, sweep_variable="j0", values=(0.0,),
-                  k_realizations=2, master_seed=0, f_mode="zero")
+    assert desk_spec(base=drift).f_mode == "constant_table"
+    doc = json.loads(result_to_json(run_sweep(desk_spec(k=2))))
+    assert doc["f_mode"] == "zero"
+    doc["f_mode"] = "constant_table"
+    with pytest.raises(ValueError, match="f_mode"):
+        result_from_dict(doc)
 
 
 def test_params_at_replaces_the_swept_variable():
@@ -186,6 +193,30 @@ def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch):
     assert [point.sweep_value for point in result.points] == [0.0, 0.004]
     assert "0.002" in next(iter(result.metadata["failed_values"]))
     assert result.argmin_index is not None
+
+
+def _realization_nd_dying_at_0002(task):
+    # a module-level function, so the worker processes can unpickle it
+    params, seed_seq = task
+    if params.j0 == 0.002:
+        os._exit(1)
+    return run_realization(params, seed_seq).nd
+
+
+def test_dead_worker_is_marked_failed_and_skipped(monkeypatch):
+    import firmglass.experiment as experiment
+
+    spec = desk_spec(values=(0.0, 0.002, 0.004), k=4)
+    reference = experiment.run_sweep(spec)
+    monkeypatch.setattr(experiment, "_realization_nd", _realization_nd_dying_at_0002)
+    result = experiment.run_sweep(spec, threads=2)
+    assert [point.sweep_value for point in result.points] == [0.0, 0.004]
+    assert [point.stats for point in result.points] == [
+        reference.points[0].stats, reference.points[2].stats
+    ]
+    failed = result.metadata["failed_values"]
+    assert list(failed) == ["0.002"]
+    assert "BrokenProcessPool" in failed["0.002"]
 
 
 def test_empty_result_emits_header_only(capsys):

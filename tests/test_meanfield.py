@@ -16,6 +16,7 @@ from firmglass.meanfield import (
     effective_beta,
     find_fixed_point,
     mean_field_fixed_points,
+    mean_field_jacobian,
     mean_field_map,
     ordered_phase_default_fraction,
     predict_phase,
@@ -84,6 +85,41 @@ def test_fixed_points_strong_coupling():
     down_ordered = find(lambda pt: pt.q_down > 0.99)
     stay_ordered = find(lambda pt: pt.p_up < 0.01 and pt.q_down < 0.01)
     assert up_ordered.stable and down_ordered.stable and stay_ordered.stable
+
+
+@pytest.mark.parametrize("beta", [14.0, 20.0, 40.0])
+def test_fixed_points_deep_in_the_ordered_phase(beta):
+    # the ordered corners sit on the simplex edge, where a finite-difference
+    # Jacobian would have to step outside the simplex
+    points = mean_field_fixed_points(beta)
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    stable = sorted((pt.p_up, pt.q_down) for pt in points if pt.stable)
+    assert len(stable) == 3
+    for (p, q), (p_corner, q_corner) in zip(stable, sorted(corners)):
+        assert abs(p - p_corner) < 1e-5 and abs(q - q_corner) < 1e-5
+    symmetric = [pt for pt in points
+                 if abs(pt.p_up - 1 / 3) < 1e-6 and abs(pt.q_down - 1 / 3) < 1e-6]
+    assert len(symmetric) == 1 and not symmetric[0].stable
+
+
+def central_difference_jacobian(p_up, q_down, beta, step=1e-6):
+    jac = np.empty((2, 2))
+    for col, (dp, dq) in enumerate(((step, 0.0), (0.0, step))):
+        plus = mean_field_map(p_up + dp, q_down + dq, beta)
+        minus = mean_field_map(p_up - dp, q_down - dq, beta)
+        jac[0, col] = (plus[0] - minus[0]) / (2 * step)
+        jac[1, col] = (plus[1] - minus[1]) / (2 * step)
+    return jac
+
+
+@pytest.mark.parametrize("beta", [0.5, 3.5, 10.0])
+def test_exact_jacobian_matches_central_differences(beta):
+    for p, q in [(1 / 3, 1 / 3), (0.2, 0.5), (0.6, 0.1), (0.05, 0.05), (0.45, 0.45)]:
+        np.testing.assert_allclose(
+            mean_field_jacobian(p, q, beta),
+            central_difference_jacobian(p, q, beta),
+            rtol=0, atol=1e-8,
+        )
 
 
 def test_non_convergent_start_reports_none():
