@@ -292,6 +292,8 @@ def cli(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         if args.command in _SPEC_BUILDERS:
+            if args.threads < 1:
+                raise _ConfigError(f"--threads must be >= 1, got {args.threads}")
             spec = _SPEC_BUILDERS[args.command](args)
             result = run_sweep(spec, threads=args.threads, progress=True)
             emit(result, format=args.format, path=args.out)

@@ -35,9 +35,9 @@ reports, and the mean-field theory applies the same softmax.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -67,6 +67,34 @@ def zero_f_table() -> dict[int, float]:
     return {s: 0.0 for s in SPIN_VALUES}
 
 
+class FTable(Mapping):
+    """Read-only, hashable copy of a drift table f(s) keyed by the move.
+
+    It looks up like the dict it copies (``table[-1]`` is f(-1)), compares
+    equal to any mapping with the same items, and pickles, so the frozen
+    :class:`ModelParams` that holds it hashes and travels to worker
+    processes.
+    """
+
+    def __init__(self, table: Mapping[int, float]) -> None:
+        self._table = dict(table)
+
+    def __getitem__(self, move: int) -> float:
+        return self._table[move]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._table.items()))
+
+    def __repr__(self) -> str:
+        return repr(self._table)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All scalar inputs of one model configuration.
@@ -83,7 +111,9 @@ class ModelParams:
     steps:
         Time horizon; each step performs ``n_firms`` micro-updates.
     f_table:
-        Per-move drift term f(s), keyed by the move value -1/0/+1.
+        Per-move drift term f(s), keyed by the move value -1/0/+1.  Stored
+        as an :class:`FTable` copy, so later changes to the caller's
+        mapping do not reach the params.
     selection:
         How firms are picked within a time step: ``with_replacement``
         (uniform i.i.d., the default) or ``permutation`` (each firm exactly
@@ -115,6 +145,7 @@ class ModelParams:
             )
         if self.sigma_j < 0:
             raise ValueError(f"sigma_j must be >= 0, got {self.sigma_j}")
+        object.__setattr__(self, "f_table", FTable(self.f_table))
         if set(self.f_table) != set(SPIN_VALUES):
             raise ValueError(
                 f"f_table must have exactly the keys {SPIN_VALUES}, "

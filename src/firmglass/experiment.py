@@ -13,8 +13,10 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -98,6 +100,79 @@ def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
     return run_realization(params, seed_seq).nd
 
 
+def _chunk_nd(tasks: list[tuple[ModelParams, np.random.SeedSequence]]) -> list[int]:
+    return [_realization_nd(task) for task in tasks]
+
+
+def _realization_tasks(
+    params: ModelParams, seed: np.random.SeedSequence, k_realizations: int
+) -> list[tuple[ModelParams, np.random.SeedSequence]]:
+    """Realization k of the ensemble is seeded with child k of ``seed``."""
+    return [(params, child) for child in seed.spawn(k_realizations)]
+
+
+def _submit_chunks(
+    pool: ProcessPoolExecutor,
+    tasks: list[tuple[ModelParams, np.random.SeedSequence]],
+    threads: int,
+) -> list[Future]:
+    """Queue one value's realizations as about ``4 * threads`` chunks, in order."""
+    chunk = max(1, len(tasks) // (threads * 4))
+    return [
+        pool.submit(_chunk_nd, tasks[start:start + chunk])
+        for start in range(0, len(tasks), chunk)
+    ]
+
+
+def _value_outcomes(
+    task_lists: list[list[tuple[ModelParams, np.random.SeedSequence]]], threads: int
+) -> Iterator[tuple[int, list[int] | Exception]]:
+    """Yield (value index, ND values or the error that failed it) in index order.
+
+    With several workers, one fork-context pool takes every value's
+    realizations up front as chunks, value-major, and the values are
+    collected in order while the workers run ahead.  A ``MemoryError``
+    fails its own value.  A dead worker breaks the pool and every pending
+    future with it, so the value being collected is re-run alone on a fresh
+    pool and fails only if it breaks that one too; every value not yet
+    collected is then re-run on a fresh pool.  Close the generator to stop
+    early: queued chunks are cancelled instead of run.
+    """
+    total = sum(len(tasks) for tasks in task_lists)
+    if threads == 1 or total == 1:
+        for index, tasks in enumerate(task_lists):
+            try:
+                nd_values = [_realization_nd(task) for task in tasks]
+            except MemoryError as exc:
+                yield index, exc
+            else:
+                yield index, nd_values
+        return
+    remaining = list(range(len(task_lists)))
+    alone = False
+    while remaining:
+        batch = remaining[:1] if alone else list(remaining)
+        alone = False
+        pool = ProcessPoolExecutor(max_workers=threads, mp_context=get_context("fork"))
+        try:
+            futures = [_submit_chunks(pool, task_lists[index], threads) for index in batch]
+            for index, value_futures in zip(batch, futures):
+                try:
+                    outcome = [nd for future in value_futures for nd in future.result()]
+                except MemoryError as exc:
+                    outcome = exc
+                remaining.remove(index)
+                yield index, outcome
+        except BrokenProcessPool as exc:
+            if len(batch) > 1:
+                alone = True
+                continue
+            remaining.remove(batch[0])
+            yield batch[0], exc
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_ensemble(
     params: ModelParams,
     k_realizations: int,
@@ -110,7 +185,8 @@ def run_ensemble(
 
     Realization k is seeded with child k of ``master_seed``, so the
     multiset of default counts (and their index order, hence all
-    aggregates) does not depend on ``threads``.
+    aggregates) does not depend on ``threads``.  This is the one-value case
+    of the scheduler :func:`run_sweep` uses.
     """
     if k_realizations < 1:
         raise ValueError(f"k_realizations must be >= 1, got {k_realizations}")
@@ -121,17 +197,11 @@ def run_ensemble(
         if isinstance(master_seed, np.random.SeedSequence)
         else np.random.SeedSequence(master_seed)
     )
-    children = root.spawn(k_realizations)
-    tasks = [(params, child) for child in children]
-    if threads == 1 or k_realizations == 1:
-        nd_values = [_realization_nd(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=threads, mp_context=get_context("fork")
-        ) as pool:
-            chunk = max(1, k_realizations // (threads * 4))
-            nd_values = list(pool.map(_realization_nd, tasks, chunksize=chunk))
-    return ensemble_stats(nd_values, bin_width)
+    tasks = _realization_tasks(params, root, k_realizations)
+    [(_, outcome)] = _value_outcomes([tasks], threads)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return ensemble_stats(outcome, bin_width)
 
 
 def run_sweep(
@@ -143,38 +213,44 @@ def run_sweep(
 ) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
-    A value that exhausts memory or loses a worker process is recorded under
+    Every value's realizations share one worker pool.  A value that
+    exhausts memory or loses a worker process is recorded under
     metadata["failed_values"] and skipped; the remaining values are
     unaffected.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     started = time.perf_counter()
     root = np.random.SeedSequence(spec.master_seed)
     value_seeds = root.spawn(len(spec.values))
+    params_by_value = [spec.params_at(value) for value in spec.values]
+    task_lists = [
+        _realization_tasks(params, seed, spec.k_realizations)
+        for params, seed in zip(params_by_value, value_seeds)
+    ]
     points: list[SweepPoint] = []
     failed: dict[str, str] = {}
-    for index, value in enumerate(spec.values):
-        params = spec.params_at(value)
-        if progress:
-            print(
-                f"[firmglass] sweep {index + 1}/{len(spec.values)} "
-                f"{spec.sweep_variable}={value:g} ...",
-                file=sys.stderr,
-                flush=True,
+    with closing(_value_outcomes(task_lists, threads)) as outcomes:
+        for index, outcome in outcomes:
+            value = spec.values[index]
+            lost = isinstance(outcome, Exception)
+            if progress:
+                print(
+                    f"[firmglass] sweep {index + 1}/{len(spec.values)} "
+                    f"{spec.sweep_variable}={value:g} {'failed' if lost else 'done'}",
+                    file=sys.stderr,
+                    flush=True,
+                )
+            if lost:
+                failed[repr(value)] = f"{type(outcome).__name__}: {outcome}"
+                continue
+            points.append(
+                SweepPoint(
+                    sweep_value=value,
+                    stats=ensemble_stats(outcome, bin_width),
+                    phase=predict_phase(params_by_value[index]),
+                )
             )
-        try:
-            stats = run_ensemble(
-                params,
-                spec.k_realizations,
-                value_seeds[index],
-                threads=threads,
-                bin_width=bin_width,
-            )
-        except (MemoryError, BrokenProcessPool) as exc:
-            failed[repr(value)] = f"{type(exc).__name__}: {exc}"
-            continue
-        points.append(
-            SweepPoint(sweep_value=value, stats=stats, phase=predict_phase(params))
-        )
     argmin_index = None
     if points:
         argmin_index = int(

@@ -72,6 +72,15 @@ def test_sweep_invalid_range_exits_one(capsys):
     assert "--j0-max" in err
 
 
+def test_bad_thread_count_exits_one_before_any_work(capsys):
+    for command in (["run", *DESK], ["reproduce", "fig1", "--n", "20", "--k", "2"]):
+        code, out, err = run_cli(capsys, *command, "--threads", "0")
+        assert code == 1
+        assert "configuration error" in err and "--threads" in err
+        assert "[firmglass] sweep" not in err
+        assert out == ""
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, _ = run_cli(capsys, "run", "--frobnicate", "1")
     assert code == 1

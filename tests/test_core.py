@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ def make_state(couplings, ratings, spins):
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+def test_params_hash_and_copy_their_drift_table():
+    table = f_table_from_weights(0.15, 0.75, 0.10)
+    params = ModelParams(n_firms=3, f_table=table)
+    assert hash(params) == hash(ModelParams(n_firms=3, f_table=dict(table)))
+    original = dict(table)
+    table[0] = 5.0
+    assert params.f_table == original
+    assert [params.f_table[s] for s in (-1, 0, 1)] == [original[s] for s in (-1, 0, 1)]
+    with pytest.raises(TypeError):
+        params.f_table[0] = 5.0
+    restored = pickle.loads(pickle.dumps(params))
+    assert restored == params and hash(restored) == hash(params)
+    assert restored.f_table[-1] == math.log(0.15)
 
 
 def test_params_accept_numpy_integers():

@@ -1,8 +1,10 @@
 """Tests for ensemble execution, sweeps, serialization and presets."""
 
+import functools
 import json
 import math
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -178,21 +180,24 @@ def test_emit_reports_path_on_failure(tmp_path):
         emit(result, format="json", path=bad_path)
 
 
+def _realization_nd_exhausted_at_0002(task):
+    params, seed_seq = task
+    if params.j0 == 0.002:
+        raise MemoryError("couplings do not fit")
+    return run_realization(params, seed_seq).nd
+
+
 def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch):
     import firmglass.experiment as experiment
 
-    real_run_ensemble = experiment.run_ensemble
-
-    def flaky(params, k, seed, **kwargs):
-        if params.j0 == 0.002:
-            raise MemoryError("couplings do not fit")
-        return real_run_ensemble(params, k, seed, **kwargs)
-
-    monkeypatch.setattr(experiment, "run_ensemble", flaky)
-    result = experiment.run_sweep(desk_spec(values=(0.0, 0.002, 0.004), k=3))
-    assert [point.sweep_value for point in result.points] == [0.0, 0.004]
-    assert "0.002" in next(iter(result.metadata["failed_values"]))
-    assert result.argmin_index is not None
+    monkeypatch.setattr(experiment, "_realization_nd", _realization_nd_exhausted_at_0002)
+    for threads in (1, 2):
+        result = experiment.run_sweep(
+            desk_spec(values=(0.0, 0.002, 0.004), k=3), threads=threads
+        )
+        assert [point.sweep_value for point in result.points] == [0.0, 0.004]
+        assert "0.002" in next(iter(result.metadata["failed_values"]))
+        assert result.argmin_index is not None
 
 
 def _realization_nd_dying_at_0002(task):
@@ -217,6 +222,100 @@ def test_dead_worker_is_marked_failed_and_skipped(monkeypatch):
     failed = result.metadata["failed_values"]
     assert list(failed) == ["0.002"]
     assert "BrokenProcessPool" in failed["0.002"]
+
+
+def _realization_nd_dying_at(j0, task):
+    params, seed_seq = task
+    if params.j0 == j0:
+        os._exit(1)
+    return run_realization(params, seed_seq).nd
+
+
+@pytest.mark.parametrize("dying", [0.0, 0.004])
+def test_dead_worker_at_either_end_costs_only_its_value(monkeypatch, dying):
+    import firmglass.experiment as experiment
+
+    spec = desk_spec(values=(0.0, 0.002, 0.004), k=4)
+    reference = experiment.run_sweep(spec)
+    monkeypatch.setattr(
+        experiment, "_realization_nd", functools.partial(_realization_nd_dying_at, dying)
+    )
+    result = experiment.run_sweep(spec, threads=2)
+    survivors = [point for point in reference.points if point.sweep_value != dying]
+    assert [point.sweep_value for point in result.points] == [
+        point.sweep_value for point in survivors
+    ]
+    assert [point.stats for point in result.points] == [point.stats for point in survivors]
+    failed = result.metadata["failed_values"]
+    assert list(failed) == [repr(dying)]
+    assert "BrokenProcessPool" in failed[repr(dying)]
+
+
+def test_sweep_refuses_bad_thread_count_before_any_work(capsys):
+    with pytest.raises(ValueError, match="threads"):
+        run_sweep(desk_spec(), threads=0, progress=True)
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_builds_one_pool(monkeypatch):
+    import firmglass.experiment as experiment
+
+    built = []
+
+    class CountingPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    result = experiment.run_sweep(desk_spec(values=(0.0, 0.002, 0.004), k=4), threads=2)
+    assert len(result.points) == 3
+    assert len(built) == 1
+
+
+def test_sweep_bytes_do_not_depend_on_worker_count():
+    # K=25 is not a multiple of the chunk size at 2 workers (3) or 3 (2)
+    spec = desk_spec(values=(0.0, 0.002, 0.004), k=25)
+    texts = []
+    for threads in (1, 2, 3):
+        result = run_sweep(spec, threads=threads)
+        result.metadata["wall_time_s"] = 0.0
+        texts.append(result_to_json(result))
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
+
+
+def _realization_nd_logged(log_path, task):
+    time.sleep(0.02)
+    with open(log_path, "a", encoding="utf-8") as log:
+        log.write("x\n")
+    return run_realization(*task).nd
+
+
+def test_parent_error_cancels_the_queued_values(monkeypatch, tmp_path):
+    import firmglass.experiment as experiment
+
+    log_path = tmp_path / "realizations.log"
+    monkeypatch.setattr(
+        experiment, "_realization_nd", functools.partial(_realization_nd_logged, log_path)
+    )
+
+    def failing_stats(nd_values, bin_width=1):
+        raise RuntimeError("stats failed")
+
+    monkeypatch.setattr(experiment, "ensemble_stats", failing_stats)
+    spec = desk_spec(values=tuple(0.001 * i for i in range(10)), k=8)
+    # holding the traceback keeps run_sweep's frame alive, so only an
+    # explicit shutdown, not garbage collection, stops the workers
+    with pytest.raises(RuntimeError, match="stats failed") as _raised:
+        experiment.run_sweep(spec, threads=2)
+    # the first value's 8 realizations plus the chunks already handed to the
+    # workers ran; the other 80 - 8 were cancelled, not drained, and no
+    # worker is left running them in the background
+    ran = len(log_path.read_text().splitlines())
+    assert ran < 40
+    time.sleep(0.3)
+    assert len(log_path.read_text().splitlines()) == ran
 
 
 def test_empty_result_emits_header_only(capsys):
