@@ -36,7 +36,6 @@ from .meanfield import (
     critical_beta,
     default_fraction_closed_form,
     default_fraction_markov,
-    effective_beta,
     mean_field_fixed_points,
     ordered_phase_default_fraction,
     predict_phase,
@@ -65,7 +64,6 @@ __all__ = [
     "critical_beta",
     "default_fraction_closed_form",
     "default_fraction_markov",
-    "effective_beta",
     "emit",
     "ensemble_stats",
     "f_table_from_weights",

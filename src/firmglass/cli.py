@@ -10,11 +10,18 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
-from .core import ModelParams, RATING_DRIFT_WEIGHTS, f_table_from_weights, zero_f_table
+from .core import (
+    RATING_DRIFT_WEIGHTS,
+    SELECTION_MODES,
+    ModelParams,
+    f_table_from_weights,
+    zero_f_table,
+)
 from .experiment import (
     PRESET_NAMES,
     SweepSpec,
@@ -49,7 +56,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="exp(f) weight of staying (constant_table mode)")
     parser.add_argument("--f-up", type=float, default=RATING_DRIFT_WEIGHTS[2],
                         help="exp(f) weight of an up move (constant_table mode)")
-    parser.add_argument("--selection", choices=("with_replacement", "permutation"),
+    parser.add_argument("--selection", choices=SELECTION_MODES,
                         default="with_replacement",
                         help="how firms are picked within a time step")
 
@@ -92,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mf.add_argument("--j0-max", type=float, default=None)
     p_mf.add_argument("--j0-points", type=int, default=None)
     p_mf.add_argument("--n", type=int, default=1000,
-                      help="firm count used to convert j0 to beta")
-    p_mf.add_argument("--beta-scaling", choices=("j0n", "bare"), default="j0n",
-                      help="beta = j0*N (default) or bare beta = j0")
+                      help="firm count used to convert j0 to beta = j0*N")
     p_mf.add_argument("--steps", type=int, default=8)
     p_mf.add_argument("--rmax", type=int, default=7)
     p_mf.add_argument("--out", type=str, default=None)
@@ -178,6 +183,11 @@ def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def _meanfield_betas(args: argparse.Namespace) -> list[float]:
+    bounds = {"--beta-min": args.beta_min, "--beta-max": args.beta_max,
+              "--j0-min": args.j0_min, "--j0-max": args.j0_max}
+    for flag, value in bounds.items():
+        if value is not None and not math.isfinite(value):
+            raise _ConfigError(f"{flag} must be finite, got {value}")
     j0_flags = (args.j0_min, args.j0_max, args.j0_points)
     if any(flag is not None for flag in j0_flags):
         if any(flag is None for flag in j0_flags):
@@ -188,8 +198,12 @@ def _meanfield_betas(args: argparse.Namespace) -> list[float]:
             raise _ConfigError(
                 f"--j0-max ({args.j0_max}) must be greater than --j0-min ({args.j0_min})"
             )
-        scale = args.n if args.beta_scaling == "j0n" else 1.0
-        return [j0 * scale for j0 in np.linspace(args.j0_min, args.j0_max, args.j0_points)]
+        if args.j0_points < 2:
+            raise _ConfigError(f"--j0-points must be >= 2, got {args.j0_points}")
+        if args.n < 1:
+            raise _ConfigError(f"--n must be >= 1, got {args.n}")
+        j0_values = np.linspace(args.j0_min, args.j0_max, args.j0_points).tolist()
+        return [j0 * args.n for j0 in j0_values]
     beta_min = 0.0 if args.beta_min is None else args.beta_min
     beta_max = 6.0 if args.beta_max is None else args.beta_max
     if beta_max <= beta_min:
@@ -203,8 +217,8 @@ def _meanfield_betas(args: argparse.Namespace) -> list[float]:
 
 def _meanfield_payload(args: argparse.Namespace) -> str:
     betas = _meanfield_betas(args)
-    if any(beta < 0 for beta in betas):
-        raise _ConfigError("beta range must be non-negative")
+    if not all(math.isfinite(beta) and beta >= 0 for beta in betas):
+        raise _ConfigError("beta range must be finite and non-negative")
     records = []
     for beta in betas:
         points = mean_field_fixed_points(beta)
@@ -226,8 +240,7 @@ def _meanfield_payload(args: argparse.Namespace) -> str:
         )
     if args.format == "json":
         return json.dumps(
-            {"beta_scaling": args.beta_scaling, "steps": args.steps,
-             "r_max": args.rmax, "betas": records},
+            {"steps": args.steps, "r_max": args.rmax, "betas": records},
             indent=2,
         ) + "\n"
     buffer = io.StringIO()
@@ -254,9 +267,10 @@ def _oracle_payload(args: argparse.Namespace) -> str:
         return buffer.getvalue()
     if args.p is None or args.q is None:
         raise _ConfigError("--p and --q are required unless --grid is given")
-    if args.p < 0 or args.q < 0 or args.p + args.q > 1 + 1e-9:
+    finite = math.isfinite(args.p) and math.isfinite(args.q)
+    if not finite or args.p < 0 or args.q < 0 or args.p + args.q > 1 + 1e-9:
         raise _ConfigError(
-            f"--p/--q must be >= 0 with p + q <= 1, got ({args.p}, {args.q})"
+            f"--p/--q must be finite and >= 0 with p + q <= 1, got ({args.p}, {args.q})"
         )
     markov = default_fraction_markov(args.p, args.q, args.steps, args.rmax)
     lines = [f"markov default fraction: {markov:.6f}"]

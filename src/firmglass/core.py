@@ -50,6 +50,18 @@ RATING_DRIFT_WEIGHTS = (0.15, 0.75, 0.10)
 SELECTION_MODES = ("with_replacement", "permutation")
 
 
+def require_integer(name: str, value: object, minimum: int) -> None:
+    """Refuse a count or seed that is not an integer >= ``minimum``.
+
+    numpy integers pass; ``bool`` does not, although it is ``Integral``, so
+    ``True`` is never taken for 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> dict[int, float]:
     """Build a drift table f(s) = log(weight) from positive per-move weights.
 
@@ -129,16 +141,9 @@ class ModelParams:
     selection: str = "with_replacement"
 
     def __post_init__(self) -> None:
-        sizes = {"n_firms": self.n_firms, "r_max": self.r_max, "steps": self.steps}
-        for name, value in sizes.items():
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_firms < 1:
-            raise ValueError(f"n_firms must be >= 1, got {self.n_firms}")
-        if self.r_max < 1:
-            raise ValueError(f"r_max must be >= 1, got {self.r_max}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        require_integer("n_firms", self.n_firms, 1)
+        require_integer("r_max", self.r_max, 1)
+        require_integer("steps", self.steps, 1)
         if not (math.isfinite(self.j0) and math.isfinite(self.sigma_j)):
             raise ValueError(
                 f"j0 and sigma_j must be finite, got j0={self.j0}, sigma_j={self.sigma_j}"
@@ -267,20 +272,6 @@ def conditional_spin_distribution(
     return np.array([ea / z, eb / z, ec / z])
 
 
-def apply_rating_barrier(rating: int, spin: int, r_max: int) -> int:
-    """One rating move with absorbing barrier at 0 and reflecting at r_max.
-
-    Default (rating 0) never moves; a +1 move at r_max is reflected back;
-    any other move shifts the rating by the move value.  Assumes rating in
-    [0, r_max] and spin in {-1, 0, +1}.
-    """
-    if rating == 0:
-        return 0
-    if rating == r_max and spin == 1:
-        return r_max
-    return rating + spin
-
-
 def advance(
     state: EnsembleState,
     couplings: np.ndarray,
@@ -295,9 +286,9 @@ def advance(
     otherwise.  If the move changed, every firm's cached field is adjusted
     in one O(N) pass (the old move's column loses this firm's coupling row,
     the new move's column gains it).  The rating then moves at once, so a
-    firm selected twice can move twice.  The barrier rule is
-    :func:`apply_rating_barrier`'s, inlined because a call per micro-update
-    costs more than the rule itself.
+    firm selected twice can move twice.  The barriers: a defaulted firm
+    (rating 0) never moves, a +1 move at r_max is reflected (the rating
+    stays), and any other move shifts the rating by the move value.
 
     ``order`` and ``uniforms`` are best passed as lists of Python ints and
     floats: the loop runs in the interpreter, where numpy scalars are slow.

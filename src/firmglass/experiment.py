@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 import time
 from collections.abc import Iterator
@@ -24,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import ModelParams, run_realization
+from .core import (
+    RATING_DRIFT_WEIGHTS,
+    ModelParams,
+    f_table_from_weights,
+    require_integer,
+    run_realization,
+)
 from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
 
@@ -49,12 +56,12 @@ class SweepSpec:
             )
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
+        if not all(math.isfinite(value) for value in self.values):
+            raise ValueError(f"values must be finite, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"values must be strictly increasing, got {self.values}")
-        if self.k_realizations < 1:
-            raise ValueError(
-                f"k_realizations must be >= 1, got {self.k_realizations}"
-            )
+        require_integer("k_realizations", self.k_realizations, 1)
+        require_integer("master_seed", self.master_seed, 0)
 
     @property
     def f_mode(self) -> str:
@@ -179,47 +186,47 @@ def run_ensemble(
     master_seed: int | np.random.SeedSequence,
     *,
     threads: int = 1,
-    bin_width: int = 1,
 ) -> EnsembleStats:
     """K independent realizations, each with fresh couplings and initial state.
 
     Realization k is seeded with child k of ``master_seed``, so the
     multiset of default counts (and their index order, hence all
     aggregates) does not depend on ``threads``.  This is the one-value case
-    of the scheduler :func:`run_sweep` uses.
+    of the scheduler :func:`run_sweep` uses.  The histogram has unit bins;
+    pass ``nd_values`` to :func:`ensemble_stats` for wider ones.
+    ``k_realizations`` and ``threads`` must be integers >= 1 and an integer
+    ``master_seed`` must be >= 0; anything else raises ``ValueError``
+    before any work.
     """
-    if k_realizations < 1:
-        raise ValueError(f"k_realizations must be >= 1, got {k_realizations}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    root = (
-        master_seed
-        if isinstance(master_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(master_seed)
-    )
+    require_integer("k_realizations", k_realizations, 1)
+    require_integer("threads", threads, 1)
+    if isinstance(master_seed, np.random.SeedSequence):
+        root = master_seed
+    else:
+        require_integer("master_seed", master_seed, 0)
+        root = np.random.SeedSequence(master_seed)
     tasks = _realization_tasks(params, root, k_realizations)
     [(_, outcome)] = _value_outcomes([tasks], threads)
     if isinstance(outcome, Exception):
         raise outcome
-    return ensemble_stats(outcome, bin_width)
+    return ensemble_stats(outcome)
 
 
 def run_sweep(
     spec: SweepSpec,
     *,
     threads: int = 1,
-    bin_width: int = 1,
     progress: bool = False,
 ) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
-    Every value's realizations share one worker pool.  A value that
-    exhausts memory or loses a worker process is recorded under
-    metadata["failed_values"] and skipped; the remaining values are
-    unaffected.
+    Every value's realizations share one worker pool, and each value's
+    histogram has unit bins.  A value that exhausts memory or loses a
+    worker process is recorded under metadata["failed_values"] and skipped;
+    the remaining values are unaffected.  A thread count that is not an
+    integer >= 1 raises ``ValueError`` before any work.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    require_integer("threads", threads, 1)
     started = time.perf_counter()
     root = np.random.SeedSequence(spec.master_seed)
     value_seeds = root.spawn(len(spec.values))
@@ -247,7 +254,7 @@ def run_sweep(
             points.append(
                 SweepPoint(
                     sweep_value=value,
-                    stats=ensemble_stats(outcome, bin_width),
+                    stats=ensemble_stats(outcome),
                     phase=predict_phase(params_by_value[index]),
                 )
             )
@@ -480,8 +487,6 @@ def preset_spec(
         return _j0_sweep(glassy, values, k_realizations, master_seed)
     if name == "fig8-9":
         # drift-field case: j0 * N in [0, 40]
-        from .core import RATING_DRIFT_WEIGHTS, f_table_from_weights
-
         drift = ModelParams(
             n_firms=n_firms,
             sigma_j=0.001,

@@ -9,9 +9,7 @@ it the symmetric point destabilizes and three ordered solutions appear.
 The exponent scale ``beta`` is the *effective* coupling.  With couplings of
 mean j0 shared by all N firms, a move adopted by a fraction x of the
 population contributes j0 * N * x to the exponent, so beta = j0 * n_firms
-("j0n" scaling, the default).  The alternative "bare" scaling (beta = j0) is
-kept selectable for comparison; under it the instability would sit at j0 = 3
-instead of at the observed critical coupling 3 / N.
+and the instability sits at the critical mean coupling 3 / N.
 
 The map applies the simulation's heat-bath softmax
 (:func:`core.heat_bath_weights`) to the occupied fractions.  Stability comes
@@ -47,8 +45,6 @@ from .core import ModelParams, heat_bath_weights
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
 SPIN_GLASS = "spin_glass"
-
-BETA_SCALINGS = ("j0n", "bare")
 
 _SIMPLEX_TOL = 1e-9
 
@@ -86,15 +82,6 @@ class PhasePrediction:
     j_critical: float
     sigma_glass: float
     regime: str
-
-
-def effective_beta(params: ModelParams, scaling: str = "j0n") -> float:
-    """Exponent scale of the mean-field map for a parameter point."""
-    if scaling == "j0n":
-        return params.j0 * params.n_firms
-    if scaling == "bare":
-        return params.j0
-    raise ValueError(f"scaling must be one of {BETA_SCALINGS}, got {scaling!r}")
 
 
 def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, float]:
@@ -167,9 +154,10 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     1/3); each runs :func:`find_fixed_point` with its defaults.  Duplicates
     closer than 1e-6 are merged; non-convergent starts are dropped.
     Stability is the spectral radius of the exact Jacobian being < 1.
+    A beta that is not finite and >= 0 is refused, not iterated.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
     levels = np.linspace(0.0, 1.0, 7)
     found: list[tuple[float, float]] = []
     for p0 in levels:
@@ -198,20 +186,18 @@ def symmetric_point_radius(beta: float) -> float:
     return _spectral_radius(mean_field_jacobian(1.0 / 3.0, 1.0 / 3.0, beta))
 
 
-def critical_beta(lo: float = 1.0, hi: float = 5.0, tol: float = 1e-6) -> float:
+def critical_beta() -> float:
     """Bisection for the beta where the symmetric point loses stability.
 
-    Finds the root of spectral_radius(beta) - 1 in [lo, hi].  Under the
-    "j0n" scaling this beta corresponds to the critical mean coupling
-    j_critical = beta / n_firms.
+    Bisects spectral_radius(beta) = 1 on [1, 5], where the radius rises
+    through 1 (it is 1/3 at beta = 1 and 5/3 at beta = 5), until the
+    bracket is at most 1e-6 wide.  This beta corresponds to the critical
+    mean coupling j_critical = beta / n_firms.
     """
-    f_lo = symmetric_point_radius(lo) - 1.0
-    f_hi = symmetric_point_radius(hi) - 1.0
-    if f_lo * f_hi > 0:
-        raise ValueError(f"no stability change in [{lo}, {hi}]")
-    while hi - lo > tol:
+    lo, hi = 1.0, 5.0
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if (symmetric_point_radius(mid) - 1.0) * f_lo <= 0:
+        if symmetric_point_radius(mid) >= 1.0:
             hi = mid
         else:
             lo = mid

@@ -17,7 +17,6 @@ from firmglass.core import (
     EnsembleState,
     ModelParams,
     RATING_DRIFT_WEIGHTS,
-    apply_rating_barrier,
     compute_local_fields,
     conditional_spin_distribution,
     f_table_from_weights,
@@ -289,13 +288,27 @@ def test_09_thread_count_determinism():
 def test_10_invariant_suite():
     rng = np.random.default_rng(110)
 
-    # barrier: absorption, reflection, range
+    # barrier: absorption, reflection, range, through a micro-update forced
+    # onto the drawn move (exp(-1000) underflows to exactly 0).  Its uniform
+    # comes from a generator of its own, so the draws of the checks below
+    # do not depend on this loop.
+    couplings = np.zeros((1, 1))
+    update_rng = np.random.default_rng(1110)
     cases = 0
     for _ in range(10_000):
         r_max = int(rng.integers(1, 12))
         rating = int(rng.integers(0, r_max + 1))
         spin = int(rng.integers(-1, 2))
-        result = apply_rating_barrier(rating, spin, r_max)
+        forced = {s: 0.0 if s == spin else -1000.0 for s in (-1, 0, 1)}
+        barrier_state = EnsembleState(
+            ratings=np.array([rating], dtype=np.int64),
+            spins=np.array([0], dtype=np.int64),
+            local_fields=np.zeros((1, 3)),
+        )
+        micro_update(barrier_state, couplings, 0,
+                     ModelParams(n_firms=1, r_max=r_max, f_table=forced), update_rng)
+        assert barrier_state.spins[0] == spin
+        result = int(barrier_state.ratings[0])
         assert 0 <= result <= r_max
         if rating == 0:
             assert result == 0

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 from firmglass.cli import cli
 from firmglass.experiment import result_from_json
@@ -104,6 +105,9 @@ def test_oracle_point_value(capsys):
 def test_oracle_requires_probabilities(capsys):
     assert run_cli(capsys, "oracle")[0] == 1
     assert run_cli(capsys, "oracle", "--p", "0.9", "--q", "0.9")[0] == 1
+    for p, q in (("nan", "0"), ("0", "nan"), ("inf", "0")):
+        code, _, err = run_cli(capsys, "oracle", "--p", p, "--q", q)
+        assert code == 1 and "configuration error" in err
 
 
 def test_oracle_grid_csv(tmp_path, capsys):
@@ -121,6 +125,7 @@ def test_meanfield_json(capsys):
     )
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {"steps", "r_max", "betas"}
     assert [entry["beta"] for entry in doc["betas"]] == [0.0, 2.0, 4.0, 6.0]
     strong = doc["betas"][-1]["fixed_points"]
     assert any(point["stable"] and point["p_up"] > 0.9 for point in strong)
@@ -148,6 +153,26 @@ def test_meanfield_j0_conversion(capsys):
 
 def test_meanfield_incomplete_j0_flags(capsys):
     assert run_cli(capsys, "meanfield", "--j0-min", "0")[0] == 1
+
+
+def test_meanfield_j0_conversion_refuses_too_few_points_or_firms(capsys):
+    for points, n in (("0", "1000"), ("1", "1000"), ("2", "0")):
+        code, out, err = run_cli(capsys, "meanfield", "--j0-min", "0", "--j0-max", "0.004",
+                                 "--j0-points", points, "--n", n)
+        assert code == 1 and "configuration error" in err and out == ""
+
+
+def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
+    for argv in (["--beta-max", "nan", "--beta-points", "2"],
+                 ["--beta-min=-inf"],
+                 ["--j0-min", "0", "--j0-max", "inf", "--j0-points", "2"],
+                 ["--j0-min", "0", "--j0-max", "1e306", "--j0-points", "2"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "meanfield", *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1, argv
+        assert "configuration error" in err and "must be finite" in err
+        assert out == ""
 
 
 def test_reproduce_desk_scale(tmp_path, capsys):

@@ -13,7 +13,6 @@ from firmglass.core import (
     EnsembleState,
     ModelParams,
     advance,
-    apply_rating_barrier,
     compute_local_fields,
     conditional_spin_distribution,
     f_table_from_weights,
@@ -62,6 +61,9 @@ def make_state(couplings, ratings, spins):
         {"n_firms": 10.5},
         {"n_firms": 10, "r_max": 3.5},
         {"n_firms": 10, "steps": 8.0},
+        {"n_firms": True},
+        {"n_firms": 10, "r_max": True},
+        {"n_firms": 10, "steps": True},
     ],
 )
 def test_params_validation(kwargs):
@@ -211,6 +213,20 @@ def test_conditional_overflow_guard():
 # ---------------------------------------------------------------------------
 
 
+def apply_rating_barrier(rating, spin, r_max):
+    """Reference rating move: absorbing at 0, reflecting at r_max.
+
+    Default (rating 0) never moves; a +1 move at r_max is reflected back;
+    any other move shifts the rating by the move value.  ``advance``
+    inlines this rule.
+    """
+    if rating == 0:
+        return 0
+    if rating == r_max and spin == 1:
+        return r_max
+    return rating + spin
+
+
 def test_barrier_spec_cases():
     assert apply_rating_barrier(0, 1, 7) == 0   # absorbing at default
     assert apply_rating_barrier(7, 1, 7) == 7   # reflecting at the top
@@ -218,8 +234,8 @@ def test_barrier_spec_cases():
 
 
 def test_barrier_exhaustive():
-    # advance inlines the barrier rule; each case also checks it against
-    # apply_rating_barrier through a micro-update forced onto the move
+    # each case checks the reference rule, then advance against it through
+    # a micro-update forced onto the move
     couplings = np.zeros((1, 1))
     for r_max in (1, 3, 7, 11):
         for rating in range(r_max + 1):

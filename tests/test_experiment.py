@@ -54,6 +54,13 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=DESK, sweep_variable="r_max", values=(1.0,),
                   k_realizations=2, master_seed=0)
+    with pytest.raises(ValueError):
+        desk_spec(values=(0.0, math.nan))
+    for k, seed in ((2.5, 0), (True, 0), (2, 1.5), (2, -1)):
+        with pytest.raises(ValueError):
+            desk_spec(k=k, seed=seed)
+        with pytest.raises(ValueError):
+            run_ensemble(DESK, k, seed)
 
 
 def test_f_mode_is_derived_from_f_table():
@@ -252,9 +259,10 @@ def test_dead_worker_at_either_end_costs_only_its_value(monkeypatch, dying):
 
 
 def test_sweep_refuses_bad_thread_count_before_any_work(capsys):
-    with pytest.raises(ValueError, match="threads"):
-        run_sweep(desk_spec(), threads=0, progress=True)
-    assert capsys.readouterr().err == ""
+    for threads in (0, 1.5):
+        with pytest.raises(ValueError, match="threads"):
+            run_sweep(desk_spec(), threads=threads, progress=True)
+        assert capsys.readouterr().err == ""
 
 
 def test_sweep_builds_one_pool(monkeypatch):

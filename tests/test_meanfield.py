@@ -1,6 +1,7 @@
 """Tests for the mean-field theory and the exact rating-chain computations."""
 
 import math
+import time
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +14,6 @@ from firmglass.meanfield import (
     critical_beta,
     default_fraction_closed_form,
     default_fraction_markov,
-    effective_beta,
     find_fixed_point,
     mean_field_fixed_points,
     mean_field_jacobian,
@@ -64,6 +64,14 @@ def test_fixed_points_zero_coupling():
     assert only.p_up == pytest.approx(1 / 3, abs=1e-9)
     assert only.q_down == pytest.approx(1 / 3, abs=1e-9)
     assert only.stable
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+def test_fixed_points_refuse_a_beta_that_is_not_finite_and_non_negative(beta):
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="beta"):
+        mean_field_fixed_points(beta)
+    assert time.perf_counter() - started < 1.0  # refused, not iterated
 
 
 def test_fixed_points_strong_coupling():
@@ -132,6 +140,8 @@ def test_symmetric_stability_crossing():
 
 
 def test_critical_beta_value():
+    # the bisection bracket [1, 5] holds the crossing
+    assert symmetric_point_radius(1.0) < 1.0 < symmetric_point_radius(5.0)
     assert abs(critical_beta() - 3.0) <= 0.01
 
 
@@ -140,14 +150,6 @@ def test_meanfield_point_validation():
         MeanFieldPoint(p_up=0.8, q_down=0.3, beta=1.0, stable=True)
     with pytest.raises(ValueError):
         MeanFieldPoint(p_up=0.2, q_down=0.2, beta=-1.0, stable=True)
-
-
-def test_effective_beta_scalings():
-    params = ModelParams(n_firms=1000, j0=0.003)
-    assert effective_beta(params, "j0n") == pytest.approx(3.0)
-    assert effective_beta(params, "bare") == 0.003
-    with pytest.raises(ValueError):
-        effective_beta(params, "rescaled")
 
 
 # ---------------------------------------------------------------------------
