@@ -1,7 +1,14 @@
 """Command-line interface: run, sweep, meanfield, oracle, reproduce.
 
+Each command runs in two phases.  The build phase parses the flags and
+builds the work: a ``SweepSpec`` for run/sweep/reproduce, the finished
+output for meanfield/oracle.  The run phase runs the sweep and writes the
+output.  The input rules live in the modules that own them and raise
+``ValueError``; one raised while building is a configuration error.
+
 Data goes to stdout (or --out); progress and timing go to stderr.
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error (raised while building, before
+any output), 2 runtime failure (anything else).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from .core import (
     SELECTION_MODES,
     ModelParams,
     f_table_from_weights,
+    require_integer,
     zero_f_table,
 )
 from .experiment import (
@@ -36,10 +44,6 @@ from .meanfield import (
     default_fraction_markov,
     mean_field_fixed_points,
 )
-
-
-class _ConfigError(Exception):
-    """Invalid flag combination or value; maps to exit code 1."""
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -129,55 +133,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _f_table_from_args(args: argparse.Namespace) -> dict[int, float]:
-    if args.f_mode == "zero":
-        return zero_f_table()
-    try:
-        return f_table_from_weights(args.f_down, args.f_stay, args.f_up)
-    except ValueError as exc:
-        raise _ConfigError(f"--f-down/--f-stay/--f-up: {exc}") from exc
-
-
-def _params_from_args(args: argparse.Namespace, j0: float) -> ModelParams:
-    try:
-        return ModelParams(
-            n_firms=args.n,
-            j0=j0,
-            sigma_j=args.sigma_j,
-            r_max=args.rmax,
-            steps=args.steps,
-            f_table=_f_table_from_args(args),
-            selection=args.selection,
-        )
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-
-
 def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec:
-    base = _params_from_args(args, values[0])
-    try:
-        return SweepSpec(
-            base=base,
-            sweep_variable="j0",
-            values=values,
-            k_realizations=args.k,
-            master_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    if args.f_mode == "zero":
+        f_table = zero_f_table()
+    else:
+        f_table = f_table_from_weights(args.f_down, args.f_stay, args.f_up)
+    base = ModelParams(
+        n_firms=args.n,
+        j0=values[0],
+        sigma_j=args.sigma_j,
+        r_max=args.rmax,
+        steps=args.steps,
+        f_table=f_table,
+        selection=args.selection,
+    )
+    return SweepSpec(
+        base=base,
+        sweep_variable="j0",
+        values=values,
+        k_realizations=args.k,
+        master_seed=args.seed,
+    )
 
 
 def _run_spec(args: argparse.Namespace) -> SweepSpec:
     return _make_spec(args, (args.j0,))
 
 
+def _require_increasing(lo_flag: str, lo: float, hi_flag: str, hi: float) -> None:
+    if hi <= lo:
+        raise ValueError(f"{hi_flag} ({hi}) must be greater than {lo_flag} ({lo})")
+
+
 def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    if args.j0_max <= args.j0_min:
-        raise _ConfigError(
-            f"--j0-max ({args.j0_max}) must be greater than --j0-min ({args.j0_min})"
-        )
-    if args.j0_points < 2:
-        raise _ConfigError(f"--j0-points must be >= 2, got {args.j0_points}")
+    _require_increasing("--j0-min", args.j0_min, "--j0-max", args.j0_max)
+    require_integer("--j0-points", args.j0_points, 2)
     values = tuple(np.linspace(args.j0_min, args.j0_max, args.j0_points))
     return _make_spec(args, values)
 
@@ -187,40 +177,28 @@ def _meanfield_betas(args: argparse.Namespace) -> list[float]:
               "--j0-min": args.j0_min, "--j0-max": args.j0_max}
     for flag, value in bounds.items():
         if value is not None and not math.isfinite(value):
-            raise _ConfigError(f"{flag} must be finite, got {value}")
+            raise ValueError(f"{flag} must be finite, got {value}")
     j0_flags = (args.j0_min, args.j0_max, args.j0_points)
     if any(flag is not None for flag in j0_flags):
         if any(flag is None for flag in j0_flags):
-            raise _ConfigError(
+            raise ValueError(
                 "--j0-min, --j0-max and --j0-points must be given together"
             )
-        if args.j0_max <= args.j0_min:
-            raise _ConfigError(
-                f"--j0-max ({args.j0_max}) must be greater than --j0-min ({args.j0_min})"
-            )
-        if args.j0_points < 2:
-            raise _ConfigError(f"--j0-points must be >= 2, got {args.j0_points}")
-        if args.n < 1:
-            raise _ConfigError(f"--n must be >= 1, got {args.n}")
+        _require_increasing("--j0-min", args.j0_min, "--j0-max", args.j0_max)
+        require_integer("--j0-points", args.j0_points, 2)
+        require_integer("--n", args.n, 1)
         j0_values = np.linspace(args.j0_min, args.j0_max, args.j0_points).tolist()
         return [j0 * args.n for j0 in j0_values]
     beta_min = 0.0 if args.beta_min is None else args.beta_min
     beta_max = 6.0 if args.beta_max is None else args.beta_max
-    if beta_max <= beta_min:
-        raise _ConfigError(
-            f"--beta-max ({beta_max}) must be greater than --beta-min ({beta_min})"
-        )
-    if args.beta_points < 2:
-        raise _ConfigError(f"--beta-points must be >= 2, got {args.beta_points}")
+    _require_increasing("--beta-min", beta_min, "--beta-max", beta_max)
+    require_integer("--beta-points", args.beta_points, 2)
     return list(np.linspace(beta_min, beta_max, args.beta_points))
 
 
 def _meanfield_payload(args: argparse.Namespace) -> str:
-    betas = _meanfield_betas(args)
-    if not all(math.isfinite(beta) and beta >= 0 for beta in betas):
-        raise _ConfigError("beta range must be finite and non-negative")
     records = []
-    for beta in betas:
+    for beta in _meanfield_betas(args):
         points = mean_field_fixed_points(beta)
         records.append(
             {
@@ -257,8 +235,6 @@ def _meanfield_payload(args: argparse.Namespace) -> str:
 
 def _oracle_payload(args: argparse.Namespace) -> str:
     if args.grid:
-        if not 0 < args.grid_step <= 1:
-            raise _ConfigError(f"--grid-step must be in (0, 1], got {args.grid_step}")
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["p_up", "q_down", "markov", "closed_form", "abs_deviation"])
@@ -266,12 +242,7 @@ def _oracle_payload(args: argparse.Namespace) -> str:
             writer.writerow(list(row))
         return buffer.getvalue()
     if args.p is None or args.q is None:
-        raise _ConfigError("--p and --q are required unless --grid is given")
-    finite = math.isfinite(args.p) and math.isfinite(args.q)
-    if not finite or args.p < 0 or args.q < 0 or args.p + args.q > 1 + 1e-9:
-        raise _ConfigError(
-            f"--p/--q must be finite and >= 0 with p + q <= 1, got ({args.p}, {args.q})"
-        )
+        raise ValueError("--p and --q are required unless --grid is given")
     markov = default_fraction_markov(args.p, args.q, args.steps, args.rmax)
     lines = [f"markov default fraction: {markov:.6f}"]
     if args.steps == 8 and args.rmax == 7:
@@ -284,10 +255,7 @@ def _reproduce_spec(args: argparse.Namespace) -> SweepSpec:
     kwargs = {"n_firms": args.n, "k_realizations": args.k}
     if args.seed is not None:
         kwargs["master_seed"] = args.seed
-    try:
-        return preset_spec(args.preset, **kwargs)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    return preset_spec(args.preset, **kwargs)
 
 
 # commands that simulate build a sweep; the analytic ones build their output
@@ -305,17 +273,21 @@ def cli(argv: list[str] | None = None) -> int:
         # latter into the configuration-error code
         return 0 if exc.code == 0 else 1
     try:
+        # build the work: a ValueError here is input that a rule refuses
+        try:
+            if args.command in _SPEC_BUILDERS:
+                require_integer("--threads", args.threads, 1)
+                spec = _SPEC_BUILDERS[args.command](args)
+            else:
+                payload = _PAYLOAD_BUILDERS[args.command](args)
+        except ValueError as exc:
+            print(f"firmglass: configuration error: {exc}", file=sys.stderr)
+            return 1
         if args.command in _SPEC_BUILDERS:
-            if args.threads < 1:
-                raise _ConfigError(f"--threads must be >= 1, got {args.threads}")
-            spec = _SPEC_BUILDERS[args.command](args)
             result = run_sweep(spec, threads=args.threads, progress=True)
             emit(result, format=args.format, path=args.out)
         else:
-            write_payload(_PAYLOAD_BUILDERS[args.command](args), args.out)
-    except _ConfigError as exc:
-        print(f"firmglass: configuration error: {exc}", file=sys.stderr)
-        return 1
+            write_payload(payload, args.out)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"firmglass: runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -40,13 +40,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, heat_bath_weights
+from .core import ModelParams, heat_bath_weights, require_integer
 
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
 SPIN_GLASS = "spin_glass"
 
 _SIMPLEX_TOL = 1e-9
+
+
+def _require_simplex(prob_up: float, prob_down: float) -> None:
+    """Refuse a move-probability pair off the simplex; NaN fails every test."""
+    on_simplex = prob_up + prob_down <= 1 + _SIMPLEX_TOL
+    if not (prob_up >= 0 and prob_down >= 0 and on_simplex):
+        raise ValueError(
+            "probabilities must be >= 0 with a sum <= 1, got "
+            f"up {prob_up}, down {prob_down}"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,14 +69,7 @@ class MeanFieldPoint:
     stable: bool
 
     def __post_init__(self) -> None:
-        if not (-_SIMPLEX_TOL <= self.p_up <= 1 + _SIMPLEX_TOL):
-            raise ValueError(f"p_up out of [0, 1]: {self.p_up}")
-        if not (-_SIMPLEX_TOL <= self.q_down <= 1 + _SIMPLEX_TOL):
-            raise ValueError(f"q_down out of [0, 1]: {self.q_down}")
-        if self.p_up + self.q_down > 1 + _SIMPLEX_TOL:
-            raise ValueError(
-                f"p_up + q_down must be <= 1, got {self.p_up + self.q_down}"
-            )
+        _require_simplex(self.p_up, self.q_down)
         if self.beta < 0:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
 
@@ -158,7 +161,7 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     """
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    levels = np.linspace(0.0, 1.0, 7)
+    levels = np.linspace(0.0, 1.0, 7).tolist()
     found: list[tuple[float, float]] = []
     for p0 in levels:
         for q0 in levels:
@@ -232,14 +235,8 @@ def rating_transition_matrix(
     Up with prob_up, down with prob_down, stay otherwise; state 0 absorbs,
     an up-move at r_max reflects (the firm stays put).
     """
-    if prob_up < 0 or prob_down < 0:
-        raise ValueError(f"probabilities must be >= 0, got ({prob_up}, {prob_down})")
-    if prob_up + prob_down > 1 + _SIMPLEX_TOL:
-        raise ValueError(
-            f"prob_up + prob_down must be <= 1, got {prob_up + prob_down}"
-        )
-    if r_max < 1:
-        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    _require_simplex(prob_up, prob_down)
+    require_integer("r_max", r_max, 1)
     size = r_max + 1
     matrix = np.zeros((size, size))
     matrix[0, 0] = 1.0
@@ -262,8 +259,7 @@ def default_fraction_markov(
     at 0 (averaged over the start classes, which keeps the deterministic
     corner cases exact in floating point).
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    require_integer("steps", steps, 0)
     matrix = rating_transition_matrix(prob_up, prob_down, r_max)
     evolved = np.linalg.matrix_power(matrix, steps)
     return float(evolved[1:, 0].mean())
@@ -291,12 +287,7 @@ def default_fraction_closed_form(prob_down: float, prob_up: float) -> float:
     Every term carries a factor of prob_down, so the value is 0 whenever
     prob_down = 0, and it is exactly 1 at (1, 0).
     """
-    if not (0 <= prob_down <= 1 and 0 <= prob_up <= 1):
-        raise ValueError(f"probabilities must be in [0, 1], got ({prob_down}, {prob_up})")
-    if prob_down + prob_up > 1 + _SIMPLEX_TOL:
-        raise ValueError(
-            f"prob_down + prob_up must be <= 1, got {prob_down + prob_up}"
-        )
+    _require_simplex(prob_up, prob_down)
     total = 0.0
     for power, coefficients in _CLOSED_FORM_BRACKETS.items():
         total += np.polyval(coefficients, prob_down) * prob_up**power

@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import require_integer
+
 
 def mean_nd(nd_values: Sequence[int]) -> float:
     """Arithmetic mean of default counts over realizations."""
@@ -32,8 +34,7 @@ def upper_semivariance(nd_values: Sequence[int]) -> float:
 
 def histogram(nd_values: Sequence[int], bin_width: int = 1) -> dict[int, int]:
     """Counts per integer bin index, bin b covering [b * width, (b + 1) * width)."""
-    if not isinstance(bin_width, (int, np.integer)) or bin_width < 1:
-        raise ValueError(f"bin_width must be a positive integer, got {bin_width!r}")
+    require_integer("bin_width", bin_width, 1)
     counts = Counter(int(v) // int(bin_width) for v in nd_values)
     return dict(sorted(counts.items()))
 

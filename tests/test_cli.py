@@ -175,6 +175,20 @@ def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
         assert out == ""
 
 
+def test_chain_flags_exit_one_before_any_output(capsys):
+    point = ["oracle", "--p", "0.3", "--q", "0.3"]
+    for argv in (["meanfield", "--rmax", "0"], ["meanfield", "--steps", "-1"],
+                 [*point, "--rmax", "0"], [*point, "--steps", "-1"],
+                 ["oracle", "--grid", "--rmax", "0"],
+                 ["oracle", "--grid", "--grid-step", "0"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1, argv
+        assert "configuration error" in err
+        assert out == ""
+
+
 def test_reproduce_desk_scale(tmp_path, capsys):
     target = tmp_path / "fig1.json"
     code, _, _ = run_cli(

@@ -145,6 +145,13 @@ def test_critical_beta_value():
     assert abs(critical_beta() - 3.0) <= 0.01
 
 
+def test_fixed_points_hold_floats():
+    for beta in (0.0, 2.0, 6.0, 40.0):
+        for point in mean_field_fixed_points(beta):
+            assert type(point.p_up) is float and type(point.q_down) is float
+            assert type(point.beta) is float and type(point.stable) is bool
+
+
 def test_meanfield_point_validation():
     with pytest.raises(ValueError):
         MeanFieldPoint(p_up=0.8, q_down=0.3, beta=1.0, stable=True)
@@ -184,6 +191,21 @@ def test_transition_matrix_structure():
         rating_transition_matrix(0.8, 0.3)
     with pytest.raises(ValueError):
         rating_transition_matrix(-0.1, 0.3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: default_fraction_markov(math.nan, 0.0),
+        lambda: default_fraction_markov(0.2, 0.2, r_max=True),
+        lambda: default_fraction_markov(0.2, 0.2, steps=2.5),
+        lambda: rating_transition_matrix(0.1, math.nan),
+    ],
+    ids=["nan-up", "bool-r_max", "fractional-steps", "nan-down"],
+)
+def test_chain_refuses_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_markov_corner_cases():

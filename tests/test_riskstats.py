@@ -56,6 +56,8 @@ def test_histogram_basic():
         histogram([1], bin_width=0)
     with pytest.raises(ValueError):
         histogram([1], bin_width=1.5)
+    with pytest.raises(ValueError):
+        histogram([1], bin_width=True)
 
 
 def test_histogram_counts_sum_to_k():
