@@ -31,6 +31,9 @@ distributed starting ratings:
   routes agree at the anchor points but deviate in the mid-range;
   :func:`closed_form_deviation_grid` quantifies the gap instead of hiding
   it, and the markov route wins wherever they disagree.
+
+Both routes are evaluated in numpy blocks of (p_up, q_down) pairs; a scalar
+call is the one-pair block, so every grid row is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ FERROMAGNETIC = "ferromagnetic"
 SPIN_GLASS = "spin_glass"
 
 _SIMPLEX_TOL = 1e-9
+_GRID_BLOCK_ROWS = 512  # caps a block's matrix stack at 256 KiB for r_max = 7
+
+
+def _require_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
 
 
 def _require_simplex(prob_up: float, prob_down: float) -> None:
@@ -70,8 +79,7 @@ class MeanFieldPoint:
 
     def __post_init__(self) -> None:
         _require_simplex(self.p_up, self.q_down)
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        _require_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -159,8 +167,7 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     Stability is the spectral radius of the exact Jacobian being < 1.
     A beta that is not finite and >= 0 is refused, not iterated.
     """
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    _require_beta(beta)
     levels = np.linspace(0.0, 1.0, 7).tolist()
     found: list[tuple[float, float]] = []
     for p0 in levels:
@@ -227,6 +234,28 @@ def predict_phase(params: ModelParams) -> PhasePrediction:
 # --------------------------------------------------------------------------
 
 
+def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.ndarray:
+    """Stack of one-move rating transition matrices, one per (up, down) pair."""
+    require_integer("r_max", r_max, 1)
+    matrices = np.zeros((len(ups), r_max + 1, r_max + 1))
+    rated = np.arange(1, r_max + 1)
+    matrices[:, 0, 0] = 1.0
+    matrices[:, rated[:-1], rated[:-1] + 1] = ups[:, None]
+    matrices[:, rated, rated - 1] = downs[:, None]
+    matrices[:, rated, rated] = (1.0 - ups - downs)[:, None]
+    matrices[:, r_max, r_max] = 1.0 - downs  # an up-move at r_max reflects
+    return matrices
+
+
+def _default_fractions(
+    ups: np.ndarray, downs: np.ndarray, steps: int, r_max: int
+) -> np.ndarray:
+    """The markov route's default fraction, one per (up, down) pair."""
+    require_integer("steps", steps, 0)
+    evolved = np.linalg.matrix_power(_transition_matrices(ups, downs, r_max), steps)
+    return evolved[:, 1:, 0].mean(axis=1)
+
+
 def rating_transition_matrix(
     prob_up: float, prob_down: float, r_max: int = 7
 ) -> np.ndarray:
@@ -236,17 +265,7 @@ def rating_transition_matrix(
     an up-move at r_max reflects (the firm stays put).
     """
     _require_simplex(prob_up, prob_down)
-    require_integer("r_max", r_max, 1)
-    size = r_max + 1
-    matrix = np.zeros((size, size))
-    matrix[0, 0] = 1.0
-    for r in range(1, r_max):
-        matrix[r, r + 1] = prob_up
-        matrix[r, r - 1] = prob_down
-        matrix[r, r] = 1.0 - prob_up - prob_down
-    matrix[r_max, r_max - 1] = prob_down
-    matrix[r_max, r_max] = 1.0 - prob_down
-    return matrix
+    return _transition_matrices(np.array([prob_up]), np.array([prob_down]), r_max)[0]
 
 
 def default_fraction_markov(
@@ -259,10 +278,9 @@ def default_fraction_markov(
     at 0 (averaged over the start classes, which keeps the deterministic
     corner cases exact in floating point).
     """
-    require_integer("steps", steps, 0)
-    matrix = rating_transition_matrix(prob_up, prob_down, r_max)
-    evolved = np.linalg.matrix_power(matrix, steps)
-    return float(evolved[1:, 0].mean())
+    _require_simplex(prob_up, prob_down)
+    ups, downs = np.array([prob_up]), np.array([prob_down])
+    return float(_default_fractions(ups, downs, steps, r_max)[0])
 
 
 # Bracket coefficients of the printed degree-8 closed form, one entry per
@@ -280,6 +298,17 @@ _CLOSED_FORM_BRACKETS: dict[int, list[float]] = {
 }
 
 
+def _closed_form_values(downs: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """The printed closed form per (down, up) pair; argument order as below."""
+    total = np.zeros(len(ups))
+    for power, coefficients in _CLOSED_FORM_BRACKETS.items():
+        # Python's float ** keeps the scalar rounding; numpy's power differs
+        # from it in the last ulp on some rows, which changes the archived grid
+        up_power = np.array([up**power for up in ups.tolist()])
+        total += np.polyval(coefficients, downs) * up_power
+    return total / 7.0
+
+
 def default_fraction_closed_form(prob_down: float, prob_up: float) -> float:
     """Printed degree-8 default fraction for the 8-step, 7-level portfolio.
 
@@ -288,10 +317,7 @@ def default_fraction_closed_form(prob_down: float, prob_up: float) -> float:
     prob_down = 0, and it is exactly 1 at (1, 0).
     """
     _require_simplex(prob_up, prob_down)
-    total = 0.0
-    for power, coefficients in _CLOSED_FORM_BRACKETS.items():
-        total += np.polyval(coefficients, prob_down) * prob_up**power
-    return total / 7.0
+    return float(_closed_form_values(np.array([prob_down]), np.array([prob_up]))[0])
 
 
 def ordered_phase_default_fraction(steps: int = 8, r_max: int = 7) -> float:
@@ -312,19 +338,23 @@ def closed_form_deviation_grid(
 ) -> list[tuple[float, float, float, float, float]]:
     """Markov-vs-closed-form comparison on a simplex grid.
 
-    Returns rows (p_up, q_down, markov, closed_form, abs_deviation) for all
-    grid points with p_up + q_down <= 1.  The closed form is evaluated with
-    its reversed argument convention, i.e. at (q_down, p_up).
+    Returns rows (p_up, q_down, markov, closed_form, abs_deviation) of floats,
+    p_up-major, for all grid points with p_up + q_down <= 1; they are computed
+    in numpy blocks.  The closed form is evaluated with its reversed argument
+    convention, i.e. at (q_down, p_up).  Steps below 1e-3 (501 501 rows) are
+    refused.
     """
-    if not 0 < grid_step <= 1:
-        raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
-    rows = []
+    if not 1e-3 <= grid_step <= 1:
+        raise ValueError(f"grid_step must be in [0.001, 1], got {grid_step}")
     n_levels = round(1.0 / grid_step)
-    for i in range(n_levels + 1):
-        p_up = i / n_levels
-        for j in range(n_levels - i + 1):
-            q_down = j / n_levels
-            markov = default_fraction_markov(p_up, q_down, steps, r_max)
-            closed = default_fraction_closed_form(q_down, p_up)
-            rows.append((p_up, q_down, markov, closed, abs(markov - closed)))
+    up_index, down_end = np.triu_indices(n_levels + 1)
+    p_up, q_down = up_index / n_levels, (down_end - up_index) / n_levels
+    rows = []
+    for start in range(0, len(p_up), _GRID_BLOCK_ROWS):
+        ups = p_up[start:start + _GRID_BLOCK_ROWS]
+        downs = q_down[start:start + _GRID_BLOCK_ROWS]
+        markov = _default_fractions(ups, downs, steps, r_max)
+        closed = _closed_form_values(downs, ups)
+        columns = (ups, downs, markov, closed, np.abs(markov - closed))
+        rows.extend(zip(*(column.tolist() for column in columns)))
     return rows

@@ -3,8 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import firmglass
 from firmglass.cli import cli
 from firmglass.experiment import result_from_json
 
@@ -15,6 +20,16 @@ def run_cli(capsys, *argv):
     code = cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    source_root = str(Path(firmglass.__file__).resolve().parents[1])
+    paths = [source_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "firmglass", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: firmglass" in done.stdout and "oracle" in done.stdout
 
 
 def test_run_json_to_stdout(capsys):
@@ -180,7 +195,8 @@ def test_chain_flags_exit_one_before_any_output(capsys):
     for argv in (["meanfield", "--rmax", "0"], ["meanfield", "--steps", "-1"],
                  [*point, "--rmax", "0"], [*point, "--steps", "-1"],
                  ["oracle", "--grid", "--rmax", "0"],
-                 ["oracle", "--grid", "--grid-step", "0"]):
+                 ["oracle", "--grid", "--grid-step", "0"],
+                 ["oracle", "--grid", "--grid-step", "1e-4"]):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - started < 1.0

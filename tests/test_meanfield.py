@@ -9,6 +9,7 @@ import pytest
 
 from firmglass.core import ModelParams
 from firmglass.meanfield import (
+    _CLOSED_FORM_BRACKETS,
     MeanFieldPoint,
     closed_form_deviation_grid,
     critical_beta,
@@ -155,8 +156,9 @@ def test_fixed_points_hold_floats():
 def test_meanfield_point_validation():
     with pytest.raises(ValueError):
         MeanFieldPoint(p_up=0.8, q_down=0.3, beta=1.0, stable=True)
-    with pytest.raises(ValueError):
-        MeanFieldPoint(p_up=0.2, q_down=0.2, beta=-1.0, stable=True)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="beta"):
+            MeanFieldPoint(p_up=0.2, q_down=0.2, beta=beta, stable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -330,5 +332,94 @@ def test_deviation_grid_shape_and_content():
     corner_rows = [row for row in grid if (row[0], row[1]) in {(0, 0), (1, 0), (0, 1)}]
     assert len(corner_rows) == 3
     assert all(row[4] <= 5e-3 for row in corner_rows)
-    with pytest.raises(ValueError):
-        closed_form_deviation_grid(0.0)
+
+
+@pytest.mark.parametrize("grid_step", [0.0, 1e-4, 9.99e-4, 1.5, math.nan, -0.1])
+def test_deviation_grid_refuses_a_step_outside_its_range(grid_step):
+    # below 1e-3 the grid would exceed 501 501 rows; refused before any row
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="grid_step"):
+        closed_form_deviation_grid(grid_step)
+    assert time.perf_counter() - started < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the blocked chain routes against the scalar per-row loop they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_transition_matrix(prob_up, prob_down, r_max):
+    matrix = np.zeros((r_max + 1, r_max + 1))
+    matrix[0, 0] = 1.0
+    for r in range(1, r_max):
+        matrix[r, r + 1] = prob_up
+        matrix[r, r - 1] = prob_down
+        matrix[r, r] = 1.0 - prob_up - prob_down
+    matrix[r_max, r_max - 1] = prob_down
+    matrix[r_max, r_max] = 1.0 - prob_down
+    return matrix
+
+
+def reference_markov(prob_up, prob_down, steps, r_max):
+    matrix = reference_transition_matrix(prob_up, prob_down, r_max)
+    return float(np.linalg.matrix_power(matrix, steps)[1:, 0].mean())
+
+
+def reference_closed_form(prob_down, prob_up):
+    # scalar np.polyval and Python float ** on every bracket
+    total = 0.0
+    for power, coefficients in _CLOSED_FORM_BRACKETS.items():
+        total += np.polyval(coefficients, prob_down) * prob_up**power
+    return float(total / 7.0)
+
+
+def reference_grid(grid_step, steps, r_max):
+    rows = []
+    n_levels = round(1.0 / grid_step)
+    for i in range(n_levels + 1):
+        p_up = i / n_levels
+        for j in range(n_levels - i + 1):
+            q_down = j / n_levels
+            markov = reference_markov(p_up, q_down, steps, r_max)
+            closed = reference_closed_form(q_down, p_up)
+            rows.append((p_up, q_down, markov, closed, abs(markov - closed)))
+    return rows
+
+
+def bits(values):
+    """Bit patterns of floats: -0.0 and 0.0 differ here, unlike under ==."""
+    return [value.hex() for value in values]
+
+
+@pytest.mark.parametrize(
+    "grid_step, steps, r_max",
+    [(0.01, 8, 7), (0.05, 5, 4), (0.1, 0, 7)],
+    # 0.01 gives 5151 rows: ten full blocks and a partial last one
+    ids=["step-0.01", "steps-5-rmax-4", "steps-0"],
+)
+def test_deviation_grid_is_bit_identical_to_the_scalar_loop(grid_step, steps, r_max):
+    grid = closed_form_deviation_grid(grid_step, steps, r_max)
+    reference = reference_grid(grid_step, steps, r_max)
+    assert len(grid) == len(reference)
+    assert all(type(value) is float for row in grid for value in row)
+    assert [bits(row) for row in grid] == [bits(row) for row in reference]
+
+
+def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
+    rng = np.random.default_rng(18)
+    points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1 / 3, 1 / 3)]
+    for _ in range(200):
+        p = float(rng.uniform(0, 1))
+        points.append((p, float(rng.uniform(0, 1 - p))))
+    for index, (p, q) in enumerate(points):
+        steps, r_max = (8, 7) if index % 2 else (index % 13, 1 + index % 12)
+        matrix = rating_transition_matrix(p, q, r_max)
+        assert bits(matrix.ravel().tolist()) == bits(
+            reference_transition_matrix(p, q, r_max).ravel().tolist()
+        )
+        markov = default_fraction_markov(p, q, steps, r_max)
+        assert type(markov) is float
+        assert bits([markov]) == bits([reference_markov(p, q, steps, r_max)])
+        closed = default_fraction_closed_form(q, p)
+        assert type(closed) is float
+        assert bits([closed]) == bits([reference_closed_form(q, p)])
