@@ -15,7 +15,8 @@ from firmglass import (
     ordered_phase_default_fraction,
 )
 
-print("Critical effective coupling (bisection on the map's Jacobian):")
+print("Critical effective coupling (exact: the map's Jacobian at the uniform point")
+print("is (beta / 3) * I, so the point destabilizes at beta = 3):")
 beta_c = critical_beta()
 print(f"  beta_c = {beta_c:.4f}   -> critical mean coupling j0 = {beta_c:.4f}/N\n")
 

@@ -14,8 +14,6 @@ any output), 2 runtime failure (anything else).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -23,8 +21,10 @@ import sys
 import numpy as np
 
 from .core import (
+    R_MAX,
     RATING_DRIFT_WEIGHTS,
     SELECTION_MODES,
+    STEPS,
     ModelParams,
     f_table_from_weights,
     require_integer,
@@ -33,6 +33,7 @@ from .core import (
 from .experiment import (
     PRESET_NAMES,
     SweepSpec,
+    csv_text,
     emit,
     preset_spec,
     run_sweep,
@@ -48,18 +49,19 @@ from .meanfield import (
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=1000, help="number of firms")
-    parser.add_argument("--steps", type=int, default=8, help="time steps")
-    parser.add_argument("--rmax", type=int, default=7, help="top rating class")
+    parser.add_argument("--steps", type=int, default=STEPS, help="time steps")
+    parser.add_argument("--rmax", type=int, default=R_MAX, help="top rating class")
     parser.add_argument("--sigma-j", type=float, default=0.001,
                         help="coupling standard deviation")
     parser.add_argument("--f-mode", choices=("zero", "constant_table"),
                         default="zero", help="drift term: off, or a constant per-move table")
-    parser.add_argument("--f-down", type=float, default=RATING_DRIFT_WEIGHTS[0],
-                        help="exp(f) weight of a down move (constant_table mode)")
-    parser.add_argument("--f-stay", type=float, default=RATING_DRIFT_WEIGHTS[1],
-                        help="exp(f) weight of staying (constant_table mode)")
-    parser.add_argument("--f-up", type=float, default=RATING_DRIFT_WEIGHTS[2],
-                        help="exp(f) weight of an up move (constant_table mode)")
+    # None marks a weight not given; --f-mode zero refuses any that is
+    parser.add_argument("--f-down", type=float, default=None,
+                        help="exp(f) weight of a down move (constant_table mode only)")
+    parser.add_argument("--f-stay", type=float, default=None,
+                        help="exp(f) weight of staying (constant_table mode only)")
+    parser.add_argument("--f-up", type=float, default=None,
+                        help="exp(f) weight of an up move (constant_table mode only)")
     parser.add_argument("--selection", choices=SELECTION_MODES,
                         default="with_replacement",
                         help="how firms are picked within a time step")
@@ -104,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mf.add_argument("--j0-points", type=int, default=None)
     p_mf.add_argument("--n", type=int, default=1000,
                       help="firm count used to convert j0 to beta = j0*N")
-    p_mf.add_argument("--steps", type=int, default=8)
-    p_mf.add_argument("--rmax", type=int, default=7)
+    p_mf.add_argument("--steps", type=int, default=STEPS)
+    p_mf.add_argument("--rmax", type=int, default=R_MAX)
     p_mf.add_argument("--out", type=str, default=None)
     p_mf.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -113,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exact chain and closed-form default fractions")
     p_or.add_argument("--p", type=float, default=None, help="per-move up probability")
     p_or.add_argument("--q", type=float, default=None, help="per-move down probability")
-    p_or.add_argument("--steps", type=int, default=8)
-    p_or.add_argument("--rmax", type=int, default=7)
+    p_or.add_argument("--steps", type=int, default=STEPS)
+    p_or.add_argument("--rmax", type=int, default=R_MAX)
     p_or.add_argument("--grid", action="store_true",
                       help="emit the chain-vs-closed-form deviation grid as CSV")
     p_or.add_argument("--grid-step", type=float, default=0.1)
@@ -133,18 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec:
+def _f_table(args: argparse.Namespace) -> dict[int, float]:
+    """The --f-mode table; a weight left out comes from RATING_DRIFT_WEIGHTS."""
+    given = (args.f_down, args.f_stay, args.f_up)
     if args.f_mode == "zero":
-        f_table = zero_f_table()
-    else:
-        f_table = f_table_from_weights(args.f_down, args.f_stay, args.f_up)
+        if given != (None, None, None):
+            raise ValueError("--f-down/--f-stay/--f-up need --f-mode constant_table")
+        return zero_f_table()
+    weights = [d if w is None else w for w, d in zip(given, RATING_DRIFT_WEIGHTS)]
+    return f_table_from_weights(*weights)
+
+
+def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec:
     base = ModelParams(
         n_firms=args.n,
         j0=values[0],
         sigma_j=args.sigma_j,
         r_max=args.rmax,
         steps=args.steps,
-        f_table=f_table,
+        f_table=_f_table(args),
         selection=args.selection,
     )
     return SweepSpec(
@@ -221,31 +230,29 @@ def _meanfield_payload(args: argparse.Namespace) -> str:
             {"steps": args.steps, "r_max": args.rmax, "betas": records},
             indent=2,
         ) + "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["beta", "p_up", "q_down", "stable", "nd_fraction"])
-    for record in records:
-        for point in record["fixed_points"]:
-            writer.writerow(
-                [record["beta"], point["p_up"], point["q_down"],
-                 point["stable"], point["nd_fraction"]]
-            )
-    return buffer.getvalue()
+    rows = (
+        [record["beta"], point["p_up"], point["q_down"],
+         point["stable"], point["nd_fraction"]]
+        for record in records
+        for point in record["fixed_points"]
+    )
+    return csv_text(["beta", "p_up", "q_down", "stable", "nd_fraction"], rows)
 
 
 def _oracle_payload(args: argparse.Namespace) -> str:
+    # the printed closed form describes the STEPS-step, R_MAX-level portfolio only
+    has_closed_form = (args.steps, args.rmax) == (STEPS, R_MAX)
     if args.grid:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["p_up", "q_down", "markov", "closed_form", "abs_deviation"])
-        for row in closed_form_deviation_grid(args.grid_step, args.steps, args.rmax):
-            writer.writerow(list(row))
-        return buffer.getvalue()
+        if not has_closed_form:
+            raise ValueError(f"--grid needs --steps {STEPS} --rmax {R_MAX}, the closed "
+                             "form's only portfolio")
+        header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
+        return csv_text(header, closed_form_deviation_grid(args.grid_step))
     if args.p is None or args.q is None:
         raise ValueError("--p and --q are required unless --grid is given")
     markov = default_fraction_markov(args.p, args.q, args.steps, args.rmax)
     lines = [f"markov default fraction: {markov:.6f}"]
-    if args.steps == 8 and args.rmax == 7:
+    if has_closed_form:
         closed = default_fraction_closed_form(args.q, args.p)
         lines.append(f"closed-form default fraction: {closed:.6f}")
     return "\n".join(lines) + "\n"

@@ -43,6 +43,11 @@ import numpy as np
 
 SPIN_VALUES = (-1, 0, 1)
 
+#: The paper's portfolio: STEPS time steps over the ratings {0, ..., R_MAX}.
+#: Every default horizon and top class in the package reads these two.
+STEPS = 8
+R_MAX = 7
+
 #: Per-move weights exp(f) for the drift-field scenario: a lone firm keeps
 #: its rating with probability 0.75, loses a notch with 0.15, gains with 0.10.
 RATING_DRIFT_WEIGHTS = (0.15, 0.75, 0.10)
@@ -135,8 +140,8 @@ class ModelParams:
     n_firms: int
     j0: float = 0.0
     sigma_j: float = 0.0
-    r_max: int = 7
-    steps: int = 8
+    r_max: int = R_MAX
+    steps: int = STEPS
     f_table: Mapping[int, float] = field(default_factory=zero_f_table)
     selection: str = "with_replacement"
 

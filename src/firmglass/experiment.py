@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
@@ -392,28 +392,27 @@ def result_from_json(text: str) -> SweepResult:
     return result_from_dict(json.loads(text))
 
 
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """CSV text of a header row and then ``rows``, with newline line ends."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def result_to_csv(result: SweepResult) -> str:
     """One CSV row per sweep value with the fixed column set."""
     spec = result.spec
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    rows = []
     for point in result.points:
         semivar = point.stats.semivariance_plus
-        writer.writerow(
-            [
-                point.sweep_value,
-                point.stats.mean_nd,
-                point.stats.mean_nd / spec.base.n_firms,
-                "" if semivar is None else semivar,
-                point.phase.regime,
-                spec.k_realizations,
-                spec.base.n_firms,
-                spec.base.steps,
-                spec.master_seed,
-            ]
-        )
-    return buffer.getvalue()
+        rows.append([point.sweep_value, point.stats.mean_nd,
+                     point.stats.mean_nd / spec.base.n_firms,
+                     "" if semivar is None else semivar, point.phase.regime,
+                     spec.k_realizations, spec.base.n_firms, spec.base.steps,
+                     spec.master_seed])
+    return csv_text(CSV_COLUMNS, rows)
 
 
 def emit(result: SweepResult, format: str = "json", path: str | Path | None = None) -> None:

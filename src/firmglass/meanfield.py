@@ -4,7 +4,9 @@ The mean-field picture replaces a firm's neighbours by two ensemble-wide
 probabilities: p_up (a firm's move is +1) and q_down (it is -1).  Iterating
 the self-consistency map finds the phase structure: below the critical
 effective coupling beta = 3 only the symmetric point (1/3, 1/3) exists; above
-it the symmetric point destabilizes and three ordered solutions appear.
+it the symmetric point destabilizes and three ordered solutions appear.  The
+crossing is exact: the map's Jacobian at (1/3, 1/3) is (beta / 3) * I, so
+:func:`critical_beta` returns 3.0 without a numerical search.
 
 The exponent scale ``beta`` is the *effective* coupling.  With couplings of
 mean j0 shared by all N firms, a move adopted by a fraction x of the
@@ -23,14 +25,15 @@ distributed starting ratings:
 * :func:`default_fraction_markov` - exact (r_max + 1)-state absorbing-chain
   computation; the ground truth used by tests and the sweep analytics.
 * :func:`default_fraction_closed_form` - a printed degree-8 polynomial for
-  the 8-step, 7-level case.  NOTE its first argument is the per-step
+  the paper's portfolio (``core.STEPS`` = 8 steps, ``core.R_MAX`` = 7
+  levels) and no other.  NOTE its first argument is the per-step
   *decrease* probability and the second the *increase* probability, i.e.
   the reverse of the markov signature: the closed form evaluates to 1 at
   (1, 0) (all moves down, everyone defaults).  Map mean-field solutions
   into it as ``default_fraction_closed_form(q_down, p_up)``.  The two
   routes agree at the anchor points but deviate in the mid-range;
-  :func:`closed_form_deviation_grid` quantifies the gap instead of hiding
-  it, and the markov route wins wherever they disagree.
+  :func:`closed_form_deviation_grid` quantifies the gap at that portfolio
+  instead of hiding it, and the markov route wins wherever they disagree.
 
 Both routes are evaluated in numpy blocks of (p_up, q_down) pairs; a scalar
 call is the one-pair block, so every grid row is bit-identical to it.
@@ -43,14 +46,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, heat_bath_weights, require_integer
+from .core import R_MAX, STEPS, ModelParams, heat_bath_weights, require_integer
 
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
 SPIN_GLASS = "spin_glass"
 
 _SIMPLEX_TOL = 1e-9
-_GRID_BLOCK_ROWS = 512  # caps a block's matrix stack at 256 KiB for r_max = 7
+_GRID_BLOCK_ROWS = 512  # a block's (R_MAX + 1)-square matrix stack: exactly 256 KiB
+
+# find_fixed_point's damped iteration: step size, residual bound, iteration cap
+_DAMPING = 0.5
+_TOL = 1e-10
+_MAX_ITER = 100_000
 
 
 def _require_beta(beta: float) -> None:
@@ -127,33 +135,24 @@ def mean_field_jacobian(p_up: float, q_down: float, beta: float) -> np.ndarray:
     )
 
 
-def _spectral_radius(jac: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(jac))))
-
-
 def find_fixed_point(
-    p_start: float,
-    q_start: float,
-    beta: float,
-    *,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    p_start: float, q_start: float, beta: float
 ) -> tuple[float, float] | None:
     """Damped fixed-point iteration from one start; None if it does not converge.
 
-    Returns a point whose residual ||map(x) - x||_inf is below ``tol``, or
-    None if no iterate reaches that within ``max_iter`` iterations.
+    Each iterate moves the fraction ``_DAMPING`` of the way to its image.
+    Returns a point whose residual ||map(x) - x||_inf is below ``_TOL``, or
+    None if no iterate reaches that within ``_MAX_ITER`` iterations.
     """
     p, q = p_start, q_start
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         p_next, q_next = mean_field_map(p, q, beta)
         res_p = p_next - p
         res_q = q_next - q
-        if max(abs(res_p), abs(res_q)) < tol:
+        if max(abs(res_p), abs(res_q)) < _TOL:
             return p, q
-        p += damping * res_p
-        q += damping * res_q
+        p += _DAMPING * res_p
+        q += _DAMPING * res_q
     return None
 
 
@@ -162,8 +161,8 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
 
     Starts are the (p, q) grid with both coordinates on 7 equispaced levels
     in [0, 1] and p + q <= 1 (28 starts, which include the symmetric point
-    1/3); each runs :func:`find_fixed_point` with its defaults.  Duplicates
-    closer than 1e-6 are merged; non-convergent starts are dropped.
+    1/3); each runs :func:`find_fixed_point`.  Duplicates closer than 1e-6
+    are merged; non-convergent starts are dropped.
     Stability is the spectral radius of the exact Jacobian being < 1.
     A beta that is not finite and >= 0 is refused, not iterated.
     """
@@ -184,39 +183,27 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
             found.append(fp)
     points = []
     for p, q in found:
-        radius = _spectral_radius(mean_field_jacobian(p, q, beta))
+        eigenvalues = np.linalg.eigvals(mean_field_jacobian(p, q, beta))
+        radius = float(np.max(np.abs(eigenvalues)))
         points.append(
             MeanFieldPoint(p_up=p, q_down=q, beta=beta, stable=radius < 1.0)
         )
     return points
 
 
-def symmetric_point_radius(beta: float) -> float:
-    """Spectral radius of the map's Jacobian at the symmetric point (1/3, 1/3)."""
-    return _spectral_radius(mean_field_jacobian(1.0 / 3.0, 1.0 / 3.0, beta))
-
-
 def critical_beta() -> float:
-    """Bisection for the beta where the symmetric point loses stability.
+    """The beta where the symmetric point loses stability: exactly 3.
 
-    Bisects spectral_radius(beta) = 1 on [1, 5], where the radius rises
-    through 1 (it is 1/3 at beta = 1 and 5/3 at beta = 5), until the
-    bracket is at most 1e-6 wide.  This beta corresponds to the critical
-    mean coupling j_critical = beta / n_firms.
+    At (1/3, 1/3) the map returns u = d = s = 1/3, so the exact Jacobian
+    (:func:`mean_field_jacobian`) is (beta / 3) * I; its spectral radius
+    beta / 3 crosses 1 at beta = 3, i.e. at j_critical = 3 / n_firms.
     """
-    lo, hi = 1.0, 5.0
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if symmetric_point_radius(mid) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 3.0
 
 
 def predict_phase(params: ModelParams) -> PhasePrediction:
     """Classify a parameter point by the 3/sqrt(N) and 3/N thresholds."""
-    j_critical = 3.0 / params.n_firms
+    j_critical = critical_beta() / params.n_firms
     sigma_glass = 3.0 / math.sqrt(params.n_firms)
     if params.sigma_j >= sigma_glass:
         regime = SPIN_GLASS
@@ -257,7 +244,7 @@ def _default_fractions(
 
 
 def rating_transition_matrix(
-    prob_up: float, prob_down: float, r_max: int = 7
+    prob_up: float, prob_down: float, r_max: int = R_MAX
 ) -> np.ndarray:
     """(r_max + 1)-state one-move transition matrix of a lone firm's rating.
 
@@ -269,7 +256,7 @@ def rating_transition_matrix(
 
 
 def default_fraction_markov(
-    prob_up: float, prob_down: float, steps: int = 8, r_max: int = 7
+    prob_up: float, prob_down: float, steps: int = STEPS, r_max: int = R_MAX
 ) -> float:
     """Exact default fraction of independent firms after ``steps`` moves.
 
@@ -320,7 +307,7 @@ def default_fraction_closed_form(prob_down: float, prob_up: float) -> float:
     return float(_closed_form_values(np.array([prob_down]), np.array([prob_up]))[0])
 
 
-def ordered_phase_default_fraction(steps: int = 8, r_max: int = 7) -> float:
+def ordered_phase_default_fraction(steps: int = STEPS, r_max: int = R_MAX) -> float:
     """Default fraction averaged over the three fully ordered outcomes.
 
     The ordered solutions (all stay, all up, all down) are equally likely by
@@ -334,15 +321,16 @@ def ordered_phase_default_fraction(steps: int = 8, r_max: int = 7) -> float:
 
 
 def closed_form_deviation_grid(
-    grid_step: float = 0.1, steps: int = 8, r_max: int = 7
+    grid_step: float = 0.1,
 ) -> list[tuple[float, float, float, float, float]]:
     """Markov-vs-closed-form comparison on a simplex grid.
 
     Returns rows (p_up, q_down, markov, closed_form, abs_deviation) of floats,
     p_up-major, for all grid points with p_up + q_down <= 1; they are computed
-    in numpy blocks.  The closed form is evaluated with its reversed argument
-    convention, i.e. at (q_down, p_up).  Steps below 1e-3 (501 501 rows) are
-    refused.
+    in numpy blocks.  Both routes run at (STEPS, R_MAX), the only portfolio
+    the printed polynomial describes.  The closed form is evaluated with its
+    reversed argument convention, i.e. at (q_down, p_up).  Steps below 1e-3
+    (501 501 rows) are refused.
     """
     if not 1e-3 <= grid_step <= 1:
         raise ValueError(f"grid_step must be in [0.001, 1], got {grid_step}")
@@ -353,7 +341,7 @@ def closed_form_deviation_grid(
     for start in range(0, len(p_up), _GRID_BLOCK_ROWS):
         ups = p_up[start:start + _GRID_BLOCK_ROWS]
         downs = q_down[start:start + _GRID_BLOCK_ROWS]
-        markov = _default_fractions(ups, downs, steps, r_max)
+        markov = _default_fractions(ups, downs, STEPS, R_MAX)
         closed = _closed_form_values(downs, ups)
         columns = (ups, downs, markov, closed, np.abs(markov - closed))
         rows.extend(zip(*(column.tolist() for column in columns)))

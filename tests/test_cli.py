@@ -4,13 +4,16 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import firmglass
+from firmglass import cli as cli_module
 from firmglass.cli import cli
+from firmglass.core import RATING_DRIFT_WEIGHTS, f_table_from_weights
 from firmglass.experiment import result_from_json
 
 DESK = ["--n", "50", "--k", "4", "--seed", "1"]
@@ -69,6 +72,28 @@ def test_run_constant_table_mode(capsys):
     doc = json.loads(out)
     assert doc["f_mode"] == "constant_table"
     assert doc["base_params"]["f_table"]["0"] != 0.0
+
+
+def test_constant_table_takes_absent_weights_from_the_drift_default(capsys):
+    code, out, _ = run_cli(capsys, "run", *DESK, "--f-mode", "constant_table",
+                           "--f-up", "0.2")
+    assert code == 0
+    expected = f_table_from_weights(*RATING_DRIFT_WEIGHTS[:2], 0.2)
+    table = json.loads(out)["base_params"]["f_table"]
+    assert {int(move): f for move, f in table.items()} == expected
+
+
+def test_drift_weights_without_a_table_exit_one_before_any_output(capsys):
+    sweep = ["sweep", *DESK, "--j0-min", "0", "--j0-max", "0.01"]
+    for argv in (["run", *DESK, "--f-down", "0.5", "--f-stay", "0.25", "--f-up", "0.25"],
+                 ["run", *DESK, "--f-mode", "zero", "--f-stay", "0.75"],
+                 [*sweep, "--f-up", "0.1"]):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 1, argv
+        assert "configuration error" in err and "--f-mode constant_table" in err
+        assert out == ""
 
 
 def test_sweep_runs_and_reports_argmin(capsys):
@@ -195,6 +220,10 @@ def test_chain_flags_exit_one_before_any_output(capsys):
     for argv in (["meanfield", "--rmax", "0"], ["meanfield", "--steps", "-1"],
                  [*point, "--rmax", "0"], [*point, "--steps", "-1"],
                  ["oracle", "--grid", "--rmax", "0"],
+                 # the printed closed form exists at 8 steps and 7 levels only
+                 ["oracle", "--grid", "--steps", "5", "--rmax", "4"],
+                 ["oracle", "--grid", "--steps", "9"],
+                 ["oracle", "--grid", "--rmax", "6"],
                  ["oracle", "--grid", "--grid-step", "0"],
                  ["oracle", "--grid", "--grid-step", "1e-4"]):
         started = time.perf_counter()
@@ -227,3 +256,23 @@ def test_io_failure_exits_two(capsys):
     )
     assert code == 2
     assert "/nonexistent-dir/o.json" in err
+
+
+def readme_commands():
+    """Every `firmglass ...` line of the README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("firmglass ")]
+
+
+def test_readme_commands_build():
+    # parse and build each documented command; nothing is simulated or written
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = cli_module.build_parser()
+    builders = {**cli_module._SPEC_BUILDERS, **cli_module._PAYLOAD_BUILDERS}
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert builders[args.command](args), argv

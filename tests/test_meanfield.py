@@ -1,5 +1,6 @@
 """Tests for the mean-field theory and the exact rating-chain computations."""
 
+import hashlib
 import math
 import time
 from functools import lru_cache
@@ -7,7 +8,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from firmglass.core import ModelParams
+from firmglass.cli import cli
+from firmglass.core import R_MAX, STEPS, ModelParams
 from firmglass.meanfield import (
     _CLOSED_FORM_BRACKETS,
     MeanFieldPoint,
@@ -22,7 +24,6 @@ from firmglass.meanfield import (
     ordered_phase_default_fraction,
     predict_phase,
     rating_transition_matrix,
-    symmetric_point_radius,
 )
 
 # ---------------------------------------------------------------------------
@@ -132,18 +133,32 @@ def test_exact_jacobian_matches_central_differences(beta):
 
 
 def test_non_convergent_start_reports_none():
-    assert find_fixed_point(0.5, 0.25, 10.0, max_iter=3) is None
+    # at the critical beta the symmetric point's Jacobian has eigenvalue 1, so
+    # the damped iteration from this start slows down critically and runs out
+    assert find_fixed_point(0.5, 0.5, 3.0) is None
+
+
+def symmetric_point_radius(beta):
+    """Spectral radius of the map's exact Jacobian at (1/3, 1/3)."""
+    jac = mean_field_jacobian(1 / 3, 1 / 3, beta)
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 
 def test_symmetric_stability_crossing():
     assert symmetric_point_radius(2.99) < 1.0
     assert symmetric_point_radius(3.01) > 1.0
+    # the Jacobian there is (beta / 3) * I, so the radius is beta / 3
+    for beta in (0.0, 1.0, 3.0, 5.0, 40.0):
+        assert symmetric_point_radius(beta) == pytest.approx(beta / 3, abs=1e-12)
 
 
 def test_critical_beta_value():
-    # the bisection bracket [1, 5] holds the crossing
-    assert symmetric_point_radius(1.0) < 1.0 < symmetric_point_radius(5.0)
-    assert abs(critical_beta() - 3.0) <= 0.01
+    beta_c = critical_beta()
+    assert beta_c == 3.0
+    assert symmetric_point_radius(beta_c) == pytest.approx(1.0, abs=1e-12)
+    assert symmetric_point_radius(beta_c - 1e-6) < 1.0 < symmetric_point_radius(
+        beta_c + 1e-6
+    )
 
 
 def test_fixed_points_hold_floats():
@@ -173,7 +188,7 @@ def test_predict_phase_reference_points():
     assert strong.regime == "ferromagnetic"
     disordered = predict_phase(ModelParams(n_firms=1000, j0=0.0, sigma_j=0.2))
     assert disordered.regime == "spin_glass"
-    assert weak.j_critical == 3.0 / 1000
+    assert weak.j_critical == 3.0 / 1000 == critical_beta() / 1000
     assert weak.sigma_glass == 3.0 / math.sqrt(1000)
 
 
@@ -373,14 +388,14 @@ def reference_closed_form(prob_down, prob_up):
     return float(total / 7.0)
 
 
-def reference_grid(grid_step, steps, r_max):
+def reference_grid(grid_step):
     rows = []
     n_levels = round(1.0 / grid_step)
     for i in range(n_levels + 1):
         p_up = i / n_levels
         for j in range(n_levels - i + 1):
             q_down = j / n_levels
-            markov = reference_markov(p_up, q_down, steps, r_max)
+            markov = reference_markov(p_up, q_down, STEPS, R_MAX)
             closed = reference_closed_form(q_down, p_up)
             rows.append((p_up, q_down, markov, closed, abs(markov - closed)))
     return rows
@@ -392,14 +407,14 @@ def bits(values):
 
 
 @pytest.mark.parametrize(
-    "grid_step, steps, r_max",
-    [(0.01, 8, 7), (0.05, 5, 4), (0.1, 0, 7)],
+    "grid_step",
+    [0.01, 0.05],
     # 0.01 gives 5151 rows: ten full blocks and a partial last one
-    ids=["step-0.01", "steps-5-rmax-4", "steps-0"],
+    ids=["step-0.01", "step-0.05"],
 )
-def test_deviation_grid_is_bit_identical_to_the_scalar_loop(grid_step, steps, r_max):
-    grid = closed_form_deviation_grid(grid_step, steps, r_max)
-    reference = reference_grid(grid_step, steps, r_max)
+def test_deviation_grid_is_bit_identical_to_the_scalar_loop(grid_step):
+    grid = closed_form_deviation_grid(grid_step)
+    reference = reference_grid(grid_step)
     assert len(grid) == len(reference)
     assert all(type(value) is float for row in grid for value in row)
     assert [bits(row) for row in grid] == [bits(row) for row in reference]
@@ -412,7 +427,7 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
         p = float(rng.uniform(0, 1))
         points.append((p, float(rng.uniform(0, 1 - p))))
     for index, (p, q) in enumerate(points):
-        steps, r_max = (8, 7) if index % 2 else (index % 13, 1 + index % 12)
+        steps, r_max = (STEPS, R_MAX) if index % 2 else (index % 13, 1 + index % 12)
         matrix = rating_transition_matrix(p, q, r_max)
         assert bits(matrix.ravel().tolist()) == bits(
             reference_transition_matrix(p, q, r_max).ravel().tolist()
@@ -423,3 +438,25 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
         closed = default_fraction_closed_form(q, p)
         assert type(closed) is float
         assert bits([closed]) == bits([reference_closed_form(q, p)])
+
+
+# ---------------------------------------------------------------------------
+# the meanfield command's output, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+# sha256 of `firmglass meanfield --beta-max 40 --beta-points 81`; the scan
+# includes beta = 3, where three starts run to the iteration cap
+MEANFIELD_SCAN_DIGESTS = {
+    "json": "ad0ee838c243113a3212e159702a1a8b3718b2d5bc66fdb0f1f7d7475de8523d",
+    "csv": "8a08b51fa5fbf91e437fe60b083ec012ff3f631e5e3196d29e31527ff73c2362",
+}
+
+
+@pytest.mark.parametrize("output_format", sorted(MEANFIELD_SCAN_DIGESTS))
+def test_meanfield_scan_output_oracle(output_format, capsys):
+    argv = ["meanfield", "--beta-max", "40", "--beta-points", "81",
+            "--format", output_format]
+    assert cli(argv) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == MEANFIELD_SCAN_DIGESTS[output_format]
