@@ -40,7 +40,7 @@ from .experiment import (
     write_payload,
 )
 from .meanfield import (
-    closed_form_deviation_grid,
+    _deviation_grid_rows,
     default_fraction_closed_form,
     default_fraction_markov,
     mean_field_fixed_points,
@@ -247,7 +247,7 @@ def _oracle_payload(args: argparse.Namespace) -> str:
             raise ValueError(f"--grid needs --steps {STEPS} --rmax {R_MAX}, the closed "
                              "form's only portfolio")
         header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
-        return csv_text(header, closed_form_deviation_grid(args.grid_step))
+        return csv_text(header, _deviation_grid_rows(args.grid_step))
     if args.p is None or args.q is None:
         raise ValueError("--p and --q are required unless --grid is given")
     markov = default_fraction_markov(args.p, args.q, args.steps, args.rmax)

@@ -8,11 +8,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from firmglass import meanfield
 from firmglass.cli import cli
 from firmglass.core import R_MAX, STEPS, ModelParams
 from firmglass.meanfield import (
     _CLOSED_FORM_BRACKETS,
     MeanFieldPoint,
+    _deviation_grid_rows,
     closed_form_deviation_grid,
     critical_beta,
     default_fraction_closed_form,
@@ -46,6 +48,12 @@ def test_symmetric_point_always_fixed(beta):
 def test_map_rejects_points_outside_simplex():
     with pytest.raises(ValueError):
         mean_field_map(0.7, 0.7, 1.0)
+
+
+@pytest.mark.parametrize("p_up, q_down", [(math.nan, 0.2), (0.2, math.nan)])
+def test_map_rejects_a_nan_probability(p_up, q_down):
+    with pytest.raises(ValueError, match="p_up \\+ q_down"):
+        mean_field_map(p_up, q_down, 1.0)
 
 
 def test_strong_coupling_orders_from_asymmetric_start():
@@ -136,6 +144,57 @@ def test_non_convergent_start_reports_none():
     # at the critical beta the symmetric point's Jacobian has eigenvalue 1, so
     # the damped iteration from this start slows down critically and runs out
     assert find_fixed_point(0.5, 0.5, 3.0) is None
+
+
+@pytest.mark.parametrize(
+    "start, beta, match",
+    [
+        ((math.nan, 0.2), 1.0, "probabilities"),
+        ((0.2, math.nan), 1.0, "probabilities"),
+        ((-0.1, 0.2), 1.0, "probabilities"),
+        ((0.7, 0.7), 1.0, "probabilities"),
+        ((0.2, 0.2), math.nan, "beta"),
+        ((0.2, 0.2), math.inf, "beta"),
+        ((0.2, 0.2), -1.0, "beta"),
+    ],
+    ids=["nan-p", "nan-q", "negative-p", "off-simplex", "nan-beta", "inf-beta",
+         "negative-beta"],
+)
+def test_find_fixed_point_refuses_bad_input_before_iterating(
+    start, beta, match, monkeypatch
+):
+    def refuse_map(*args):
+        raise AssertionError("iterated a refused input")
+
+    monkeypatch.setattr(meanfield, "mean_field_map", refuse_map)
+    with pytest.raises(ValueError, match=match):
+        find_fixed_point(*start, beta)
+
+
+def test_the_critical_beta_stays_within_its_iteration_budget(monkeypatch):
+    # a deterministic guard against the critical slowing down at beta = 3:
+    # three starts run out of budget there, so the cost is the budget itself
+    calls = 0
+    unwrapped = meanfield.mean_field_map
+
+    def count_map(p_up, q_down, beta):
+        nonlocal calls
+        calls += 1
+        return unwrapped(p_up, q_down, beta)
+
+    monkeypatch.setattr(meanfield, "mean_field_map", count_map)
+    mean_field_fixed_points(3.0)
+    assert calls < 40_000  # 32 949 with a budget of 10 000 per start
+
+
+def test_every_start_converges_at_the_slowest_covered_beta():
+    # beta = 2.99 holds the slowest converging start (7 119 iterations) of the
+    # 0.01 grid on [0, 40]; the budget must cover it for all 28 starts
+    levels = np.linspace(0.0, 1.0, 7).tolist()
+    starts = [(p, q) for p in levels for q in levels if p + q <= 1 + 1e-9]
+    assert len(starts) == 28
+    for p, q in starts:
+        assert find_fixed_point(p, q, 2.99) is not None, (p, q)
 
 
 def symmetric_point_radius(beta):
@@ -355,6 +414,8 @@ def test_deviation_grid_refuses_a_step_outside_its_range(grid_step):
     started = time.perf_counter()
     with pytest.raises(ValueError, match="grid_step"):
         closed_form_deviation_grid(grid_step)
+    with pytest.raises(ValueError, match="grid_step"):
+        _deviation_grid_rows(grid_step)  # on the call, with no row asked for
     assert time.perf_counter() - started < 1.0
 
 
@@ -460,3 +521,18 @@ def test_meanfield_scan_output_oracle(output_format, capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == MEANFIELD_SCAN_DIGESTS[output_format]
+
+
+# sha256 of `firmglass meanfield --beta-max 40 --beta-points 4001 --format csv`,
+# recorded with an iteration budget of 100 000: on this 0.01 grid the budget of
+# 10 000 changes no byte, because every start that converges needs at most
+# 7 119 iterations and the three that run out at beta = 3 need over 100 000
+DENSE_SCAN_CSV_DIGEST = "703aa0d306cb9d63332c41424f00b3ea3a446abbc0820b17806c7fb32776e450"
+
+
+def test_dense_meanfield_scan_output_oracle(capsys):
+    argv = ["meanfield", "--beta-max", "40", "--beta-points", "4001",
+            "--format", "csv"]
+    assert cli(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DENSE_SCAN_CSV_DIGEST
