@@ -40,6 +40,7 @@ from .meanfield import (
     ordered_phase_default_fraction,
     predict_phase,
     rating_transition_matrix,
+    transition_beta,
 )
 from .riskstats import (
     EnsembleStats,
@@ -79,6 +80,7 @@ __all__ = [
     "run_ensemble",
     "run_realization",
     "run_sweep",
+    "transition_beta",
     "upper_semivariance",
     "zero_f_table",
 ]

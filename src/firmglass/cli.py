@@ -1,10 +1,12 @@
 """Command-line interface: run, sweep, meanfield, oracle, reproduce.
 
 Each command runs in two phases.  The build phase parses the flags and
-builds the work: a ``SweepSpec`` for run/sweep/reproduce, the finished
-output for meanfield/oracle.  The run phase runs the sweep and writes the
-output.  The input rules live in the modules that own them and raise
-``ValueError``; one raised while building is a configuration error.
+builds the work: a ``SweepSpec`` for run/sweep/reproduce, the output's text
+chunks for meanfield/oracle (``oracle --grid`` checks its step there and
+leaves its rows to be computed as they are written).  The run phase runs
+the sweep and writes the output.  The input rules live in the modules that
+own them and raise ``ValueError``; one raised while building is a
+configuration error.
 
 Data goes to stdout (or --out); progress and timing go to stderr.
 Exit codes: 0 success, 1 configuration error (raised while building, before
@@ -17,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .core import (
 from .experiment import (
     PRESET_NAMES,
     SweepSpec,
-    csv_text,
+    csv_chunks,
     emit,
     preset_spec,
     run_sweep,
@@ -205,7 +208,7 @@ def _meanfield_betas(args: argparse.Namespace) -> list[float]:
     return list(np.linspace(beta_min, beta_max, args.beta_points))
 
 
-def _meanfield_payload(args: argparse.Namespace) -> str:
+def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
     records = []
     for beta in _meanfield_betas(args):
         points = mean_field_fixed_points(beta)
@@ -226,20 +229,20 @@ def _meanfield_payload(args: argparse.Namespace) -> str:
             }
         )
     if args.format == "json":
-        return json.dumps(
+        return [json.dumps(
             {"steps": args.steps, "r_max": args.rmax, "betas": records},
             indent=2,
-        ) + "\n"
+        ) + "\n"]
     rows = (
         [record["beta"], point["p_up"], point["q_down"],
          point["stable"], point["nd_fraction"]]
         for record in records
         for point in record["fixed_points"]
     )
-    return csv_text(["beta", "p_up", "q_down", "stable", "nd_fraction"], rows)
+    return csv_chunks(["beta", "p_up", "q_down", "stable", "nd_fraction"], rows)
 
 
-def _oracle_payload(args: argparse.Namespace) -> str:
+def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
     # the printed closed form describes the STEPS-step, R_MAX-level portfolio only
     has_closed_form = (args.steps, args.rmax) == (STEPS, R_MAX)
     if args.grid:
@@ -247,7 +250,8 @@ def _oracle_payload(args: argparse.Namespace) -> str:
             raise ValueError(f"--grid needs --steps {STEPS} --rmax {R_MAX}, the closed "
                              "form's only portfolio")
         header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
-        return csv_text(header, _deviation_grid_rows(args.grid_step))
+        # the step is checked here; the rows stream out in the run phase
+        return csv_chunks(header, _deviation_grid_rows(args.grid_step))
     if args.p is None or args.q is None:
         raise ValueError("--p and --q are required unless --grid is given")
     markov = default_fraction_markov(args.p, args.q, args.steps, args.rmax)
@@ -255,7 +259,7 @@ def _oracle_payload(args: argparse.Namespace) -> str:
     if has_closed_form:
         closed = default_fraction_closed_form(args.q, args.p)
         lines.append(f"closed-form default fraction: {closed:.6f}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
 def _reproduce_spec(args: argparse.Namespace) -> SweepSpec:

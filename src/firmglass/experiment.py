@@ -392,13 +392,25 @@ def result_from_json(text: str) -> SweepResult:
     return result_from_dict(json.loads(text))
 
 
-def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
-    """CSV text of a header row and then ``rows``, with newline line ends."""
+_CSV_CHUNK_ROWS = 4096
+
+
+def csv_chunks(header: Sequence, rows: Iterable[Sequence]) -> Iterator[str]:
+    """CSV text of a header row and then ``rows``, with newline line ends.
+
+    The text comes in chunks of up to 4096 rows, so a caller that writes
+    each chunk as it comes never holds the whole text.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for count, row in enumerate(rows, 1):
+        writer.writerow(row)
+        if count % _CSV_CHUNK_ROWS == 0:
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+    yield buffer.getvalue()
 
 
 def result_to_csv(result: SweepResult) -> str:
@@ -412,7 +424,7 @@ def result_to_csv(result: SweepResult) -> str:
                      "" if semivar is None else semivar, point.phase.regime,
                      spec.k_realizations, spec.base.n_firms, spec.base.steps,
                      spec.master_seed])
-    return csv_text(CSV_COLUMNS, rows)
+    return "".join(csv_chunks(CSV_COLUMNS, rows))
 
 
 def emit(result: SweepResult, format: str = "json", path: str | Path | None = None) -> None:
@@ -423,16 +435,20 @@ def emit(result: SweepResult, format: str = "json", path: str | Path | None = No
         payload = result_to_csv(result)
     else:
         raise ValueError(f"format must be 'json' or 'csv', got {format!r}")
-    write_payload(payload, path)
+    write_payload((payload,), path)
 
 
-def write_payload(payload: str, path: str | Path | None) -> None:
-    """Write text to ``path``, or stdout if None; a failure names the path."""
+def write_payload(chunks: Iterable[str], path: str | Path | None) -> None:
+    """Write text chunks in turn to ``path``, or stdout if None.
+
+    A failure to write names the path; what came before it stays written.
+    """
     if path is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
         return
     try:
-        Path(path).write_text(payload, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -1,12 +1,25 @@
 """Mean-field theory of the rating model, plus an exact single-firm oracle.
 
 The mean-field picture replaces a firm's neighbours by two ensemble-wide
-probabilities: p_up (a firm's move is +1) and q_down (it is -1).  Iterating
-the self-consistency map finds the phase structure: below the critical
-effective coupling beta = 3 only the symmetric point (1/3, 1/3) exists; above
-it the symmetric point destabilizes and three ordered solutions appear.  The
-crossing is exact: the map's Jacobian at (1/3, 1/3) is (beta / 3) * I, so
-:func:`critical_beta` returns 3.0 without a numerical search.
+probabilities: p_up (a firm's move is +1) and q_down (it is -1).  The fixed
+points of the self-consistency map give the phase structure, with three
+constants:
+
+* below the spinodal beta_s ~ 2.7456 the symmetric point (1/3, 1/3) is the
+  only fixed point;
+* above it there are 7: the symmetric point, 3 ordered points (one move
+  dominates; stable) and 3 saddles (unstable).  The ordered points have the
+  lower free energy above the first-order point 4 ln 2 ~ 2.7726
+  (:func:`transition_beta`);
+* the symmetric point loses stability at beta = 3.  The crossing is exact:
+  the map's Jacobian at (1/3, 1/3) is (beta / 3) * I, so
+  :func:`critical_beta` returns 3.0 without a numerical search.  At beta = 3
+  exactly the saddles merge into the symmetric point, which leaves 4 fixed
+  points.
+
+:func:`mean_field_fixed_points` finds every fixed point from one scalar
+root equation, with no start points and no iteration budget; its docstring
+gives the method and the output order.
 
 The exponent scale ``beta`` is the *effective* coupling.  With couplings of
 mean j0 shared by all N firms, a move adopted by a fraction x of the
@@ -56,13 +69,16 @@ SPIN_GLASS = "spin_glass"
 _SIMPLEX_TOL = 1e-9
 _GRID_BLOCK_ROWS = 512  # a block's (R_MAX + 1)-square matrix stack: exactly 256 KiB
 
-# find_fixed_point's damped iteration: step size, residual bound, iteration cap.
-# The cap is sized from measurement: on the beta grid [0, 40] step 0.01 the
-# slowest converging start needs 7 119 iterations (beta = 2.99); only within
-# about 0.0065 of beta = 3 does a result depend on it (see find_fixed_point).
-_DAMPING = 0.5
-_TOL = 1e-10
-_MAX_ITER = 10_000
+_EXP_CAP = 709.0  # exp() of a larger exponent overflows a float
+
+# Sign-scan grid of g: 256 cells on [0, 1/3] and 128 on [1/3, 1/2], both
+# about 1.3e-3 wide; 1/3 appears twice, once as each side's end.
+_SCAN_CELLS_BELOW = 256
+_SCAN_GRID = np.concatenate((
+    np.linspace(0.0, 1.0 / 3.0, _SCAN_CELLS_BELOW + 1),
+    np.linspace(1.0 / 3.0, 0.5, 129),
+))
+_SCAN_SLOPES = 1.0 - 3.0 * _SCAN_GRID
 
 
 def _require_beta(beta: float) -> None:
@@ -114,9 +130,11 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
     under exponents beta * (occupied fraction of each move); the stay
     fraction is 1 - p_up - q_down.  The weights come from
     :func:`heat_bath_weights`, whose max shift makes any beta >= 0 safe.
+    A pair off the simplex (NaN included) or a beta that is not finite and
+    >= 0 is refused, here and in :func:`mean_field_jacobian`.
     """
-    if not p_up + q_down <= 1 + _SIMPLEX_TOL:  # NaN fails this test too
-        raise ValueError(f"p_up + q_down must be <= 1, got {p_up + q_down}")
+    _require_simplex(p_up, q_down)
+    _require_beta(beta)
     ea, eb, ec = heat_bath_weights(
         beta * p_up, beta * q_down, beta * (1.0 - p_up - q_down)
     )
@@ -139,66 +157,83 @@ def mean_field_jacobian(p_up: float, q_down: float, beta: float) -> np.ndarray:
     )
 
 
-def find_fixed_point(
-    p_start: float, q_start: float, beta: float
-) -> tuple[float, float] | None:
-    """Damped fixed-point iteration from one start; None if it does not converge.
+def _g(a: float, beta: float) -> float:
+    """g(a) = a * (2 + exp(beta * (1 - 3a))) - 1, the fixed-point equation.
 
-    Each iterate moves the fraction ``_DAMPING`` of the way to its image.
-    Returns a point whose residual ||map(x) - x||_inf is below ``_TOL``, or
-    None if no iterate reaches that within ``_MAX_ITER`` (10 000) iterations.
-    A start off the simplex or a beta that is not finite and >= 0 is refused.
-
-    The budget covers every converging start of :func:`mean_field_fixed_points`
-    on the beta grid [0, 40] step 0.01 (the slowest needs 7 119 iterations,
-    at beta = 2.99).  At beta = 3 the symmetric point's Jacobian is the
-    identity, the iteration slows down critically, and three starts run out
-    of budget.  So within about 0.0065 of beta = 3 the result depends on the
-    budget: just below 3 a slow start may return None where a larger budget
-    would return a copy of (1/3, 1/3) up to 6e-7 off; just above 3, up to
-    about 3.006, the unstable fixed point on the p = q line is not resolved.
+    The exponent is capped below float overflow; the cap can change the sign
+    of g only where a * exp(709) < 2, i.e. for a < 2.5e-308, so it moves a
+    root (near exp(-beta) once beta > 709) by less than that.
     """
-    _require_simplex(p_start, q_start)
-    _require_beta(beta)
-    p, q = p_start, q_start
-    for _ in range(_MAX_ITER):
-        p_next, q_next = mean_field_map(p, q, beta)
-        res_p = p_next - p
-        res_q = q_next - q
-        if max(abs(res_p), abs(res_q)) < _TOL:
-            return p, q
-        p += _DAMPING * res_p
-        q += _DAMPING * res_q
-    return None
+    return a * (2.0 + math.exp(min(beta * (1.0 - 3.0 * a), _EXP_CAP))) - 1.0
+
+
+def _bisect(lo: float, hi: float, lo_negative: bool, beta: float) -> float:
+    """The root of g in [lo, hi], halving until the midpoint is an endpoint."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        value = _g(mid, beta)
+        if value == 0.0:
+            return mid
+        if (value < 0.0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _roots_off_third(beta: float) -> list[float]:
+    """The roots a != 1/3 of g on [0, 1/2], ascending.
+
+    One numpy sign scan brackets them; the scan is split at the root 1/3,
+    where the sign on each side is that of g'(1/3) = 3 - beta (at beta = 3,
+    the double root, g >= 0 on both sides).  That brackets the saddle that
+    sits within one cell of 1/3 near beta = 3.  g(0) = -1 brackets the
+    ordered root near exp(-beta) in the first cell.
+    """
+    exponents = np.minimum(beta * _SCAN_SLOPES, _EXP_CAP)
+    signs = np.sign(_SCAN_GRID * (2.0 + np.exp(exponents)) - 1.0)
+    signs[_SCAN_CELLS_BELOW] = 1.0 if beta >= 3.0 else -1.0
+    signs[_SCAN_CELLS_BELOW + 1] = 1.0 if beta <= 3.0 else -1.0
+    changes = signs[:-1] * signs[1:] < 0.0
+    changes[_SCAN_CELLS_BELOW] = False  # the two copies of 1/3
+    grid = _SCAN_GRID.tolist()
+    roots = {grid[i] for i in np.flatnonzero(signs == 0.0).tolist()}
+    for i in np.flatnonzero(changes).tolist():
+        roots.add(_bisect(grid[i], grid[i + 1], bool(signs[i] < 0.0), beta))
+    roots.discard(1.0 / 3.0)
+    return sorted(roots)
 
 
 def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
-    """All distinct fixed points found from a simplex grid of starts.
+    """Every fixed point of the map at ``beta``, each with its stability.
 
-    Starts are the (p, q) grid with both coordinates on 7 equispaced levels
-    in [0, 1] and p + q <= 1 (28 starts, which include the symmetric point
-    1/3); each runs :func:`find_fixed_point`.  Duplicates closer than 1e-6
-    are merged; non-convergent starts are dropped.
-    Stability is the spectral radius of the exact Jacobian being < 1.
-    A beta that is not finite and >= 0 is refused, not iterated.
+    At a fixed point every move fraction x solves x * exp(-beta * x) = 1/Z,
+    and t -> t * exp(-beta * t) takes each value at most twice, so the
+    fractions are (a, a, 1 - 2a) in some order with a a root of
+    g(a) = a * (2 + exp(beta * (1 - 3a))) - 1 on [0, 1/2].  a = 1/3 is a
+    root for every beta (g(1/3) == 0.0 in floats) and gives the symmetric
+    point; the other roots come from a sign scan and a bisection to the
+    last bit, so no point depends on a start or an iteration budget.
+
+    Output order: the symmetric point (1/3, 1/3) first; then, for each root
+    a != 1/3 in increasing order, (a, a) (stay is the odd move),
+    (1 - 2a, a) (up) and (a, 1 - 2a) (down).  That gives 1 point below the
+    spinodal beta_s ~ 2.7456, 7 above it (at beta = 3 exactly, where 1/3 is
+    a double root, 4).  The two roots born at the spinodal are closer than
+    one scan cell (1.3e-3) up to about 5e-6 above it; there they can share
+    a cell, and the output holds the symmetric point alone.  Stability is
+    the spectral radius of the exact Jacobian (:func:`mean_field_jacobian`)
+    being < 1.  A beta that is not finite and >= 0 is refused.
     """
     _require_beta(beta)
-    levels = np.linspace(0.0, 1.0, 7).tolist()
-    found: list[tuple[float, float]] = []
-    for p0 in levels:
-        for q0 in levels:
-            if p0 + q0 > 1 + _SIMPLEX_TOL:
-                continue
-            fp = find_fixed_point(p0, q0, beta)
-            if fp is None:
-                continue
-            if any(
-                abs(fp[0] - p) < 1e-6 and abs(fp[1] - q) < 1e-6 for p, q in found
-            ):
-                continue
-            found.append(fp)
+    third = 1.0 / 3.0
+    pairs = [(third, third)]
+    for a in _roots_off_third(float(beta)):  # numpy scalars bisect slowly
+        b = 1.0 - 2.0 * a
+        pairs += [(a, a), (b, a), (a, b)]
     points = []
-    for p, q in found:
+    for p, q in pairs:
         eigenvalues = np.linalg.eigvals(mean_field_jacobian(p, q, beta))
         radius = float(np.max(np.abs(eigenvalues)))
         points.append(
@@ -215,6 +250,18 @@ def critical_beta() -> float:
     beta / 3 crosses 1 at beta = 3, i.e. at j_critical = 3 / n_firms.
     """
     return 3.0
+
+
+def transition_beta() -> float:
+    """The first-order transition: exactly 4 ln 2 ~ 2.7726.
+
+    Above the spinodal beta_s ~ 2.7456 an ordered minimum exists beside the
+    symmetric one; at 4 ln 2 their free energies
+    -(beta / 2) * sum x^2 + sum x ln x cross, and the ordered minimum is
+    (1/6, 1/6, 2/3).  This is the q = 3 case of the mean-field Potts value
+    2 (q - 1) ln(q - 1) / (q - 2) (Wu, Rev. Mod. Phys. 54, 235 (1982)).
+    """
+    return 4.0 * math.log(2.0)
 
 
 def predict_phase(params: ModelParams) -> PhasePrediction:

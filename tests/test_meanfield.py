@@ -8,7 +8,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from firmglass import meanfield
 from firmglass.cli import cli
 from firmglass.core import R_MAX, STEPS, ModelParams
 from firmglass.meanfield import (
@@ -19,13 +18,13 @@ from firmglass.meanfield import (
     critical_beta,
     default_fraction_closed_form,
     default_fraction_markov,
-    find_fixed_point,
     mean_field_fixed_points,
     mean_field_jacobian,
     mean_field_map,
     ordered_phase_default_fraction,
     predict_phase,
     rating_transition_matrix,
+    transition_beta,
 )
 
 # ---------------------------------------------------------------------------
@@ -52,7 +51,7 @@ def test_map_rejects_points_outside_simplex():
 
 @pytest.mark.parametrize("p_up, q_down", [(math.nan, 0.2), (0.2, math.nan)])
 def test_map_rejects_a_nan_probability(p_up, q_down):
-    with pytest.raises(ValueError, match="p_up \\+ q_down"):
+    with pytest.raises(ValueError, match="probabilities"):
         mean_field_map(p_up, q_down, 1.0)
 
 
@@ -105,11 +104,13 @@ def test_fixed_points_strong_coupling():
     assert up_ordered.stable and down_ordered.stable and stay_ordered.stable
 
 
-@pytest.mark.parametrize("beta", [14.0, 20.0, 40.0])
+@pytest.mark.parametrize("beta", [14.0, 20.0, 40.0, 1000.0])
 def test_fixed_points_deep_in_the_ordered_phase(beta):
     # the ordered corners sit on the simplex edge, where a finite-difference
-    # Jacobian would have to step outside the simplex
+    # Jacobian would have to step outside the simplex; at 1000, exp(beta)
+    # overflows a float and g(1/2) is 0.0, so the saddle root is a grid point
     points = mean_field_fixed_points(beta)
+    assert len(points) == 7
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     stable = sorted((pt.p_up, pt.q_down) for pt in points if pt.stable)
     assert len(stable) == 3
@@ -140,14 +141,8 @@ def test_exact_jacobian_matches_central_differences(beta):
         )
 
 
-def test_non_convergent_start_reports_none():
-    # at the critical beta the symmetric point's Jacobian has eigenvalue 1, so
-    # the damped iteration from this start slows down critically and runs out
-    assert find_fixed_point(0.5, 0.5, 3.0) is None
-
-
 @pytest.mark.parametrize(
-    "start, beta, match",
+    "point, beta, match",
     [
         ((math.nan, 0.2), 1.0, "probabilities"),
         ((0.2, math.nan), 1.0, "probabilities"),
@@ -160,47 +155,21 @@ def test_non_convergent_start_reports_none():
     ids=["nan-p", "nan-q", "negative-p", "off-simplex", "nan-beta", "inf-beta",
          "negative-beta"],
 )
-def test_find_fixed_point_refuses_bad_input_before_iterating(
-    start, beta, match, monkeypatch
-):
-    def refuse_map(*args):
-        raise AssertionError("iterated a refused input")
-
-    monkeypatch.setattr(meanfield, "mean_field_map", refuse_map)
+def test_map_and_jacobian_refuse_bad_input(point, beta, match):
     with pytest.raises(ValueError, match=match):
-        find_fixed_point(*start, beta)
+        mean_field_map(*point, beta)
+    with pytest.raises(ValueError, match=match):
+        mean_field_jacobian(*point, beta)
 
 
-def test_the_critical_beta_stays_within_its_iteration_budget(monkeypatch):
-    # a deterministic guard against the critical slowing down at beta = 3:
-    # three starts run out of budget there, so the cost is the budget itself
-    calls = 0
-    unwrapped = meanfield.mean_field_map
-
-    def count_map(p_up, q_down, beta):
-        nonlocal calls
-        calls += 1
-        return unwrapped(p_up, q_down, beta)
-
-    monkeypatch.setattr(meanfield, "mean_field_map", count_map)
-    mean_field_fixed_points(3.0)
-    assert calls < 40_000  # 32 949 with a budget of 10 000 per start
-
-
-def test_every_start_converges_at_the_slowest_covered_beta():
-    # beta = 2.99 holds the slowest converging start (7 119 iterations) of the
-    # 0.01 grid on [0, 40]; the budget must cover it for all 28 starts
-    levels = np.linspace(0.0, 1.0, 7).tolist()
-    starts = [(p, q) for p in levels for q in levels if p + q <= 1 + 1e-9]
-    assert len(starts) == 28
-    for p, q in starts:
-        assert find_fixed_point(p, q, 2.99) is not None, (p, q)
+def spectral_radius(p_up, q_down, beta):
+    """Spectral radius of the map's exact Jacobian at (p_up, q_down)."""
+    jac = mean_field_jacobian(p_up, q_down, beta)
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))
 
 
 def symmetric_point_radius(beta):
-    """Spectral radius of the map's exact Jacobian at (1/3, 1/3)."""
-    jac = mean_field_jacobian(1 / 3, 1 / 3, beta)
-    return float(np.max(np.abs(np.linalg.eigvals(jac))))
+    return spectral_radius(1 / 3, 1 / 3, beta)
 
 
 def test_symmetric_stability_crossing():
@@ -233,6 +202,125 @@ def test_meanfield_point_validation():
     for beta in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="beta"):
             MeanFieldPoint(p_up=0.2, q_down=0.2, beta=beta, stable=True)
+
+
+# ---------------------------------------------------------------------------
+# the phase diagram: spinodal ~2.7456, first-order point 4 ln 2, instability 3
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "beta, count, stable",
+    [
+        (2.7450, 1, 1),  # below the spinodal: the symmetric point alone
+        (2.7460, 7, 4),  # coexistence: 3 ordered minima, 3 saddles
+        (2.999, 7, 4),  # a saddle within 3e-4 of 1/3
+        (3.0, 4, 3),  # 1/3 is a double root: the saddles merged into it
+        (3.001, 7, 3),  # the saddles came out on the other side of 1/3
+        (40.0, 7, 3),  # ordered roots near exp(-40) ~ 4e-18
+    ],
+)
+def test_fixed_point_count_across_the_phase_diagram(beta, count, stable):
+    points = mean_field_fixed_points(beta)
+    assert len(points) == count
+    assert sum(point.stable for point in points) == stable
+    assert (points[0].p_up, points[0].q_down) == (1 / 3, 1 / 3)
+
+
+def free_energy(p_up, q_down, beta):
+    """-(beta/2) * sum x^2 + sum x ln x over the three move fractions."""
+    fractions = (p_up, q_down, 1.0 - p_up - q_down)
+    return sum(-0.5 * beta * x * x + (x * math.log(x) if x > 0 else 0.0)
+               for x in fractions)
+
+
+def free_energy_gap(beta):
+    """Free energy of the stable ordered point minus the symmetric point's."""
+    symmetric, *others = mean_field_fixed_points(beta)
+    ordered = next(point for point in others if point.stable)
+    return (free_energy(ordered.p_up, ordered.q_down, beta)
+            - free_energy(symmetric.p_up, symmetric.q_down, beta))
+
+
+def test_transition_beta_is_where_the_free_energies_cross():
+    lo, hi = 2.75, 2.8  # both above the spinodal, where the ordered branch exists
+    assert free_energy_gap(lo) > 0 > free_energy_gap(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if free_energy_gap(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(mid - transition_beta()) <= 1e-12
+    assert transition_beta() == 4 * math.log(2)
+    # there the ordered minimum is (1/6, 1/6, 2/3), stay being the odd move
+    ordered = mean_field_fixed_points(transition_beta())[1]
+    assert ordered.stable
+    assert abs(ordered.p_up - 1 / 6) <= 1e-12 and abs(ordered.q_down - 1 / 6) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the damped multi-start iteration the root solver replaced, as a reference
+# ---------------------------------------------------------------------------
+
+
+def reference_fixed_point(p_start, q_start, beta):
+    """Damped iteration (step 0.5, residual 1e-10, 10 000 iterations); None if
+    it does not converge."""
+    p, q = p_start, q_start
+    for _ in range(10_000):
+        p_next, q_next = mean_field_map(p, q, beta)
+        res_p = p_next - p
+        res_q = q_next - q
+        if max(abs(res_p), abs(res_q)) < 1e-10:
+            return p, q
+        p += 0.5 * res_p
+        q += 0.5 * res_q
+    return None
+
+
+def reference_fixed_points(beta):
+    """(p, q, stable) of every distinct point reached from 28 simplex starts.
+
+    The starts are the 7-level grid in [0, 1] with p + q <= 1; points closer
+    than 1e-6 are merged and starts that do not converge are dropped.  The
+    iteration reaches attracting points, and saddles only from their stable
+    line, so it misses most saddles.
+    """
+    levels = np.linspace(0.0, 1.0, 7).tolist()
+    found = []
+    for p0 in levels:
+        for q0 in levels:
+            if p0 + q0 > 1 + 1e-9:
+                continue
+            point = reference_fixed_point(p0, q0, beta)
+            if point is None or any(
+                abs(point[0] - p) < 1e-6 and abs(point[1] - q) < 1e-6
+                for p, q in found
+            ):
+                continue
+            found.append(point)
+    return [(p, q, spectral_radius(p, q, beta) < 1.0) for p, q in found]
+
+
+def test_solver_reports_every_point_of_the_damped_iteration():
+    # the 0.01 grid on [0, 40]; 1e-7, not 1e-9, because within 0.03 of beta = 3
+    # the damped iteration's own points sit up to 3e-8 from the exact ones
+    missed_by_reference = 0
+    for beta in np.linspace(0.0, 40.0, 4001).tolist():
+        points = mean_field_fixed_points(beta)
+        for point in points:
+            image = mean_field_map(point.p_up, point.q_down, beta)
+            assert abs(image[0] - point.p_up) <= 1e-12, (beta, point)
+            assert abs(image[1] - point.q_down) <= 1e-12, (beta, point)
+        reference = reference_fixed_points(beta)
+        for p, q, stable in reference:
+            assert any(
+                abs(point.p_up - p) <= 1e-7 and abs(point.q_down - q) <= 1e-7
+                and point.stable == stable
+                for point in points
+            ), (beta, p, q, stable)
+        missed_by_reference += len(points) - len(reference)
+    assert missed_by_reference > 0  # the saddles the iteration cannot reach
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +593,12 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
 # the meanfield command's output, pinned byte for byte
 # ---------------------------------------------------------------------------
 
-# sha256 of `firmglass meanfield --beta-max 40 --beta-points 81`; the scan
-# includes beta = 3, where three starts run to the iteration cap
+# sha256 of `firmglass meanfield --beta-max 40 --beta-points 81`, recorded
+# once every point of the damped iteration the root solver replaced was shown
+# to be among its points (test_solver_reports_every_point_of_the_damped_iteration)
 MEANFIELD_SCAN_DIGESTS = {
-    "json": "ad0ee838c243113a3212e159702a1a8b3718b2d5bc66fdb0f1f7d7475de8523d",
-    "csv": "8a08b51fa5fbf91e437fe60b083ec012ff3f631e5e3196d29e31527ff73c2362",
+    "json": "b92b815add3ea59df74814bcf4e52ac876fefd60c875f50f5147463eaf36558d",
+    "csv": "a9f7cb2e2e9b209a615c3293ec59b32bd834637655352532eb904c89370a5ad5",
 }
 
 
@@ -523,11 +612,9 @@ def test_meanfield_scan_output_oracle(output_format, capsys):
     assert digest == MEANFIELD_SCAN_DIGESTS[output_format]
 
 
-# sha256 of `firmglass meanfield --beta-max 40 --beta-points 4001 --format csv`,
-# recorded with an iteration budget of 100 000: on this 0.01 grid the budget of
-# 10 000 changes no byte, because every start that converges needs at most
-# 7 119 iterations and the three that run out at beta = 3 need over 100 000
-DENSE_SCAN_CSV_DIGEST = "703aa0d306cb9d63332c41424f00b3ea3a446abbc0820b17806c7fb32776e450"
+# sha256 of `firmglass meanfield --beta-max 40 --beta-points 4001 --format csv`
+# (26 354 fixed points on the 0.01 grid), recorded as the digests above
+DENSE_SCAN_CSV_DIGEST = "e42acc1002ac8140679626d955c7c54f34e7b418c5dde3ade1d3685bf08e5d8a"
 
 
 def test_dense_meanfield_scan_output_oracle(capsys):
