@@ -25,7 +25,10 @@ One engine, :func:`advance`, runs every micro-update: ``time_step`` feeds
 it a whole step's firm order and uniforms, ``micro_update`` a single firm.
 It is written for the interpreter: it reads the state element by element
 as Python floats and ints, and runs a vectorized numpy operation only to
-add and subtract a coupling row when a move flips.
+add and subtract a coupling row when a move flips.  The field cache is
+column-major, so each move's column is contiguous and a flip is two
+contiguous in-place adds; a C-ordered cache gives the same bits, only more
+slowly.
 The heat-bath weights come from :func:`heat_bath_weights`, which
 :func:`conditional_spin_distribution` and the mean-field map use too, so
 the probabilities the dynamics samples are exactly the ones that function
@@ -181,7 +184,9 @@ class EnsembleState:
 
     ratings: np.ndarray      # (N,) int64 in [0, r_max]
     spins: np.ndarray        # (N,) int64 in {-1, 0, +1}
-    local_fields: np.ndarray  # (N, 3) float64, column v + 1 for move v
+    # (N, 3) float64, column v + 1 for move v; column-major, so a flip adds
+    # to two contiguous columns (a C-ordered cache gives the same bits, slower)
+    local_fields: np.ndarray
 
 
 @dataclass
@@ -220,9 +225,10 @@ def compute_local_fields(couplings: np.ndarray, spins: np.ndarray) -> np.ndarray
     Sums the rows of the firms whose move is v, which is the same because
     the couplings are symmetric, and is what the flip updates accumulate.
     A plain reduction rather than a matrix-vector product: a BLAS call would
-    wake BLAS worker threads, which then spin on CPU time nothing uses.
+    wake BLAS worker threads, which then spin on CPU time nothing uses.  The
+    cache is column-major, the layout :func:`advance` flips fastest.
     """
-    fields = np.empty((couplings.shape[0], 3))
+    fields = np.empty((couplings.shape[0], 3), order="F")
     for v in SPIN_VALUES:
         fields[:, v + 1] = couplings[spins == v].sum(axis=0)
     return fields
@@ -300,8 +306,7 @@ def advance(
     """
     f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)
     r_max = params.r_max
-    spins, ratings = state.spins, state.ratings
-    spin_at, rating_at = spins.item, ratings.item
+    spins, ratings = memoryview(state.spins), memoryview(state.ratings)
     fields = state.local_fields
     field_row = fields.__getitem__
     columns = (fields[:, 0], fields[:, 1], fields[:, 2])
@@ -317,15 +322,15 @@ def advance(
             new = 0
         else:
             new = 1
-        old = spin_at(firm)
+        old = spins[firm]
         if new != old:
             row = couplings[firm]
             column = columns[old + 1]
-            subtract(column, row, out=column)
+            subtract(column, row, column)
             column = columns[new + 1]
-            add(column, row, out=column)
+            add(column, row, column)
             spins[firm] = new
-        rating = rating_at(firm)
+        rating = ratings[firm]
         if rating != 0 and (rating != r_max or new != 1):
             ratings[firm] = rating + new
 

@@ -397,6 +397,45 @@ def test_seed_oracle(selection):
         assert digest(outcome.final_spins) == spins
 
 
+# ND digests of run_ensemble(N = 1000, K = 4, seed 2009), the regression
+# oracle of the benchmark's two ensemble workloads (perfbench/golden.json):
+# at the weak point about two micro-updates in three flip a move, at the
+# glass point few do
+@pytest.mark.parametrize(
+    ("j0", "sigma_j", "expected"),
+    [(1e-4, 0.001, "b89bfa7212bc07d8"), (0.0, 0.2, "c88e62b5b6544cca")],
+    ids=["weak", "glass"],
+)
+def test_published_scale_ensemble_digest(j0, sigma_j, expected):
+    params = ModelParams(n_firms=1000, j0=j0, sigma_j=sigma_j)
+    assert digest(experiment.run_ensemble(params, 4, 2009).nd_values) == expected
+
+
+def test_field_cache_layout_changes_only_speed():
+    # the same flip-heavy steps on a column-major cache and on a C-ordered
+    # copy of it end in the same bits
+    params = ModelParams(n_firms=50, j0=1e-4, sigma_j=0.001)
+    rng = np.random.default_rng(17)
+    couplings = sample_coupling_matrix(params, rng)
+    state = initial_state(params, couplings, rng)
+    assert state.local_fields.flags.f_contiguous
+    start_spins = state.spins.copy()
+    c_state = EnsembleState(
+        ratings=state.ratings.copy(),
+        spins=state.spins.copy(),
+        local_fields=np.ascontiguousarray(state.local_fields),
+    )
+    assert not c_state.local_fields.flags.f_contiguous
+    for run in (state, c_state):
+        step_rng = np.random.default_rng(18)
+        for _ in range(4):
+            time_step(run, couplings, params, step_rng)
+    assert np.count_nonzero(state.spins != start_spins) > params.n_firms // 2
+    assert np.array_equal(state.local_fields.view(np.int64), c_state.local_fields.view(np.int64))
+    assert np.array_equal(state.spins, c_state.spins)
+    assert np.array_equal(state.ratings, c_state.ratings)
+
+
 def test_advance_thresholds_match_conditional_distribution():
     # the move must switch exactly at P(-1) and at P(-1) + P(0) as
     # conditional_spin_distribution reports them, to the last bit: a uniform
