@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -43,17 +43,12 @@ from .experiment import (
     write_payload,
 )
 from .meanfield import (
-    MeanFieldPoint,
     _default_fractions,
     _deviation_grid_rows,
     default_fraction_closed_form,
     default_fraction_markov,
     mean_field_fixed_points,
 )
-
-#: Floats in one block's matrix stack of fixed-point chain levels: 2 MiB,
-#: 4096 points at the paper's r_max = 7.
-_LEVEL_BLOCK_FLOATS = 1 << 18
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -214,24 +209,14 @@ def _meanfield_betas(args: argparse.Namespace) -> list[float]:
     return list(np.linspace(beta_min, beta_max, args.beta_points))
 
 
-def _chain_levels(points: list[MeanFieldPoint], steps: int, r_max: int) -> Iterator[float]:
-    """Each point's ``default_fraction_markov`` level, bit for bit.
-
-    Computed in numpy blocks whose matrix stack holds at most
-    ``_LEVEL_BLOCK_FLOATS`` floats, so a dense scan never builds one giant
-    stack.
-    """
-    block = max(1, _LEVEL_BLOCK_FLOATS // (r_max + 1) ** 2)
-    for start in range(0, len(points), block):
-        ups = np.array([point.p_up for point in points[start:start + block]])
-        downs = np.array([point.q_down for point in points[start:start + block]])
-        yield from _default_fractions(ups, downs, steps, r_max).tolist()
-
-
 def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
     scan = [(beta, mean_field_fixed_points(beta)) for beta in _meanfield_betas(args)]
-    levels = _chain_levels([point for _, points in scan for point in points],
-                           args.steps, args.rmax)
+    every_point = [point for _, points in scan for point in points]
+    levels = iter(_default_fractions(
+        np.array([point.p_up for point in every_point]),
+        np.array([point.q_down for point in every_point]),
+        args.steps, args.rmax,
+    ).tolist())
     records = [
         {
             "beta": beta,

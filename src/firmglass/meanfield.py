@@ -18,8 +18,9 @@ constants:
   points.
 
 :func:`mean_field_fixed_points` finds every fixed point from one scalar
-root equation, with no start points and no iteration budget; its docstring
-gives the method and the output order.
+root equation, bracketed at its own extrema, with no start points, no
+iteration budget and no scan grid; its docstring gives the method and the
+output order.
 
 The exponent scale ``beta`` is the *effective* coupling.  With couplings of
 mean j0 shared by all N firms, a move adopted by a fraction x of the
@@ -55,7 +56,7 @@ call is the one-pair block, so every grid row is bit-identical to it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,18 +68,9 @@ FERROMAGNETIC = "ferromagnetic"
 SPIN_GLASS = "spin_glass"
 
 _SIMPLEX_TOL = 1e-9
-_GRID_BLOCK_ROWS = 512  # a block's (R_MAX + 1)-square matrix stack: exactly 256 KiB
+_BLOCK_FLOATS = 1 << 15  # 256 KiB of matrix stack per block: 512 pairs at R_MAX
 
 _EXP_CAP = 709.0  # exp() of a larger exponent overflows a float
-
-# Sign-scan grid of g: 256 cells on [0, 1/3] and 128 on [1/3, 1/2], both
-# about 1.3e-3 wide; 1/3 appears twice, once as each side's end.
-_SCAN_CELLS_BELOW = 256
-_SCAN_GRID = np.concatenate((
-    np.linspace(0.0, 1.0 / 3.0, _SCAN_CELLS_BELOW + 1),
-    np.linspace(1.0 / 3.0, 0.5, 129),
-))
-_SCAN_SLOPES = 1.0 - 3.0 * _SCAN_GRID
 
 
 def _require_beta(beta: float) -> None:
@@ -167,13 +159,21 @@ def _g(a: float, beta: float) -> float:
     return a * (2.0 + math.exp(min(beta * (1.0 - 3.0 * a), _EXP_CAP))) - 1.0
 
 
-def _bisect(lo: float, hi: float, lo_negative: bool, beta: float) -> float:
-    """The root of g in [lo, hi], halving until the midpoint is an endpoint."""
+def _g_slope(a: float, beta: float) -> float:
+    """g'(a) = 2 + exp(beta * (1 - 3a)) * (1 - 3 * beta * a), capped as in g."""
+    exponential = math.exp(min(beta * (1.0 - 3.0 * a), _EXP_CAP))
+    return 2.0 + exponential * (1.0 - 3.0 * beta * a)
+
+
+def _bisect(f: Callable[[float, float], float], lo: float, hi: float,
+            lo_negative: bool, beta: float) -> float:
+    """The zero of f(., beta) in [lo, hi], halving until the midpoint is an
+    endpoint; f(lo) < 0 <= f(hi) if ``lo_negative``, else f(lo) > 0 >= f(hi)."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        value = _g(mid, beta)
+        value = f(mid, beta)
         if value == 0.0:
             return mid
         if (value < 0.0) == lo_negative:
@@ -185,24 +185,29 @@ def _bisect(lo: float, hi: float, lo_negative: bool, beta: float) -> float:
 def _roots_off_third(beta: float) -> list[float]:
     """The roots a != 1/3 of g on [0, 1/2], ascending.
 
-    One numpy sign scan brackets them; the scan is split at the root 1/3,
-    where the sign on each side is that of g'(1/3) = 3 - beta (at beta = 3,
-    the double root, g >= 0 on both sides).  That brackets the saddle that
-    sits within one cell of 1/3 near beta = 3.  g(0) = -1 brackets the
-    ordered root near exp(-beta) in the first cell.
+    g'' has the sign of 3 * beta * a - 2, so g' is smallest at 2/(3 beta),
+    where it is 2 - exp(beta - 2): up to beta = 2 + ln 2 g only increases.
+    Above, g' has one zero on each side of 2/(3 beta), g's maximum ``peak``
+    and its minimum ``dip``.  g(peak) <= 0 below the spinodal; otherwise
+    g(0) = -1 brackets the ordered root in [0, peak].  As g'(1/3) = 3 - beta,
+    1/3 lies after dip below 3 and before it above 3, so g(dip) < 0 for
+    every beta != 3 and is never computed: the saddle root is in [peak, dip]
+    below 3 and in [dip, 1/2] above it (g(1/2) >= 0).  At 3, 1/3 is the
+    double root dip, and there is no saddle.
     """
-    exponents = np.minimum(beta * _SCAN_SLOPES, _EXP_CAP)
-    signs = np.sign(_SCAN_GRID * (2.0 + np.exp(exponents)) - 1.0)
-    signs[_SCAN_CELLS_BELOW] = 1.0 if beta >= 3.0 else -1.0
-    signs[_SCAN_CELLS_BELOW + 1] = 1.0 if beta <= 3.0 else -1.0
-    changes = signs[:-1] * signs[1:] < 0.0
-    changes[_SCAN_CELLS_BELOW] = False  # the two copies of 1/3
-    grid = _SCAN_GRID.tolist()
-    roots = {grid[i] for i in np.flatnonzero(signs == 0.0).tolist()}
-    for i in np.flatnonzero(changes).tolist():
-        roots.add(_bisect(grid[i], grid[i + 1], bool(signs[i] < 0.0), beta))
-    roots.discard(1.0 / 3.0)
-    return sorted(roots)
+    if beta <= 2.0 + math.log(2.0):
+        return []
+    turn = 2.0 / (3.0 * beta)
+    peak = _bisect(_g_slope, 0.0, turn, False, beta)
+    if _g(peak, beta) <= 0.0:
+        return []
+    ordered = _bisect(_g, 0.0, peak, True, beta)
+    if beta == 3.0:
+        return [ordered]
+    dip = _bisect(_g_slope, turn, 0.5, True, beta)
+    if beta < 3.0:
+        return [ordered, _bisect(_g, peak, dip, False, beta)]
+    return [ordered, _bisect(_g, dip, 0.5, True, beta)]
 
 
 def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
@@ -213,18 +218,16 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     fractions are (a, a, 1 - 2a) in some order with a a root of
     g(a) = a * (2 + exp(beta * (1 - 3a))) - 1 on [0, 1/2].  a = 1/3 is a
     root for every beta (g(1/3) == 0.0 in floats) and gives the symmetric
-    point; the other roots come from a sign scan and a bisection to the
-    last bit, so no point depends on a start or an iteration budget.
+    point; the other roots are bisected between g's extrema
+    (:func:`_roots_off_third`), so none depends on a start, a budget or a grid.
 
     Output order: the symmetric point (1/3, 1/3) first; then, for each root
     a != 1/3 in increasing order, (a, a) (stay is the odd move),
     (1 - 2a, a) (up) and (a, 1 - 2a) (down).  That gives 1 point below the
     spinodal beta_s ~ 2.7456, 7 above it (at beta = 3 exactly, where 1/3 is
-    a double root, 4).  The two roots born at the spinodal are closer than
-    one scan cell (1.3e-3) up to about 5e-6 above it; there they can share
-    a cell, and the output holds the symmetric point alone.  Stability is
-    the spectral radius of the exact Jacobian (:func:`mean_field_jacobian`)
-    being < 1.  A beta that is not finite and >= 0 is refused.
+    a double root, 4).  Stability is the spectral radius of the exact
+    Jacobian (:func:`mean_field_jacobian`) being < 1.  A beta that is not
+    finite and >= 0 is refused.
     """
     _require_beta(beta)
     third = 1.0 / 3.0
@@ -285,8 +288,8 @@ def predict_phase(params: ModelParams) -> PhasePrediction:
 
 
 def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.ndarray:
-    """Stack of one-move rating transition matrices, one per (up, down) pair."""
-    require_integer("r_max", r_max, 1)
+    """Stack of one-move rating transition matrices, one per (up, down) pair;
+    the callers check r_max."""
     matrices = np.zeros((len(ups), r_max + 1, r_max + 1))
     rated = np.arange(1, r_max + 1)
     matrices[:, 0, 0] = 1.0
@@ -300,10 +303,18 @@ def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.n
 def _default_fractions(
     ups: np.ndarray, downs: np.ndarray, steps: int, r_max: int
 ) -> np.ndarray:
-    """The markov route's default fraction, one per (up, down) pair."""
+    """The markov route's default fraction, one per (up, down) pair, in
+    blocks whose matrix stack holds at most ``_BLOCK_FLOATS`` floats."""
     require_integer("steps", steps, 0)
-    evolved = np.linalg.matrix_power(_transition_matrices(ups, downs, r_max), steps)
-    return evolved[:, 1:, 0].mean(axis=1)
+    require_integer("r_max", r_max, 1)
+    block = max(1, _BLOCK_FLOATS // (r_max + 1) ** 2)
+    levels = np.empty(len(ups))
+    for start in range(0, len(ups), block):
+        stop = start + block
+        matrices = _transition_matrices(ups[start:stop], downs[start:stop], r_max)
+        evolved = np.linalg.matrix_power(matrices, steps)
+        levels[start:stop] = evolved[:, 1:, 0].mean(axis=1)
+    return levels
 
 
 def rating_transition_matrix(
@@ -315,6 +326,7 @@ def rating_transition_matrix(
     an up-move at r_max reflects (the firm stays put).
     """
     _require_simplex(prob_up, prob_down)
+    require_integer("r_max", r_max, 1)
     return _transition_matrices(np.array([prob_up]), np.array([prob_down]), r_max)[0]
 
 
@@ -401,9 +413,10 @@ def _deviation_grid_rows(
 def _deviation_blocks(
     p_up: np.ndarray, q_down: np.ndarray
 ) -> Iterator[tuple[float, float, float, float, float]]:
-    for start in range(0, len(p_up), _GRID_BLOCK_ROWS):
-        ups = p_up[start:start + _GRID_BLOCK_ROWS]
-        downs = q_down[start:start + _GRID_BLOCK_ROWS]
+    block = _BLOCK_FLOATS // (R_MAX + 1) ** 2
+    for start in range(0, len(p_up), block):
+        ups = p_up[start:start + block]
+        downs = q_down[start:start + block]
         markov = _default_fractions(ups, downs, STEPS, R_MAX)
         closed = _closed_form_values(downs, ups)
         columns = (ups, downs, markov, closed, np.abs(markov - closed))

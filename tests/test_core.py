@@ -6,7 +6,6 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from firmglass import cli, core, experiment
 from firmglass.core import (
@@ -336,8 +335,12 @@ def test_zero_coupling_spin_distribution_uniform():
     n = 3000
     params = ModelParams(n_firms=n, j0=0.0, sigma_j=0.0, steps=8, r_max=30)
     outcome = run_realization(params, 12)
-    counts = [np.count_nonzero(outcome.final_spins == v) for v in (-1, 0, 1)]
-    assert stats.chisquare(counts).pvalue > 1e-3
+    counts = np.array([np.count_nonzero(outcome.final_spins == v) for v in (-1, 0, 1)])
+    expected = counts.mean()
+    chi_square = float(((counts - expected) ** 2 / expected).sum())
+    # with 2 degrees of freedom the p-value is exp(-chi_square / 2), so
+    # p > 1e-3 holds exactly when chi_square < 2 ln 1000
+    assert chi_square < 2.0 * math.log(1000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,17 +44,6 @@ def test_symmetric_point_always_fixed(beta):
     assert abs(q - 1 / 3) < 1e-12
 
 
-def test_map_rejects_points_outside_simplex():
-    with pytest.raises(ValueError):
-        mean_field_map(0.7, 0.7, 1.0)
-
-
-@pytest.mark.parametrize("p_up, q_down", [(math.nan, 0.2), (0.2, math.nan)])
-def test_map_rejects_a_nan_probability(p_up, q_down):
-    with pytest.raises(ValueError, match="probabilities"):
-        mean_field_map(p_up, q_down, 1.0)
-
-
 def test_strong_coupling_orders_from_asymmetric_start():
     # plain damped iteration, independent of the multi-start search
     p, q = 0.5, 0.25
@@ -108,7 +97,7 @@ def test_fixed_points_strong_coupling():
 def test_fixed_points_deep_in_the_ordered_phase(beta):
     # the ordered corners sit on the simplex edge, where a finite-difference
     # Jacobian would have to step outside the simplex; at 1000, exp(beta)
-    # overflows a float and g(1/2) is 0.0, so the saddle root is a grid point
+    # overflows a float and g(1/2) is 0.0, so the bisection returns 1/2 itself
     points = mean_field_fixed_points(beta)
     assert len(points) == 7
     corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -213,9 +202,13 @@ def test_meanfield_point_validation():
     "beta, count, stable",
     [
         (2.7450, 1, 1),  # below the spinodal: the symmetric point alone
+        (2.745646, 7, 4),  # 2e-6 above the spinodal: two roots 8e-4 apart
+        (2.7456485, 7, 4),
         (2.7460, 7, 4),  # coexistence: 3 ordered minima, 3 saddles
         (2.999, 7, 4),  # a saddle within 3e-4 of 1/3
+        (3.0 - 1e-9, 7, 4),  # a saddle within 1e-8 of 1/3
         (3.0, 4, 3),  # 1/3 is a double root: the saddles merged into it
+        (3.0 + 1e-9, 7, 3),
         (3.001, 7, 3),  # the saddles came out on the other side of 1/3
         (40.0, 7, 3),  # ordered roots near exp(-40) ~ 4e-18
     ],
@@ -597,8 +590,8 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
 # once every point of the damped iteration the root solver replaced was shown
 # to be among its points (test_solver_reports_every_point_of_the_damped_iteration)
 MEANFIELD_SCAN_DIGESTS = {
-    "json": "b92b815add3ea59df74814bcf4e52ac876fefd60c875f50f5147463eaf36558d",
-    "csv": "a9f7cb2e2e9b209a615c3293ec59b32bd834637655352532eb904c89370a5ad5",
+    "json": "dade67a1fd97f6a6d7f0d566184c63b022f0d8281d6ede1810335efaf06b756f",
+    "csv": "52d487e63528c49b38d29fd410d839ab171cb173f0412704f93f33d3c8c43564",
 }
 
 
@@ -614,7 +607,7 @@ def test_meanfield_scan_output_oracle(output_format, capsys):
 
 # sha256 of `firmglass meanfield --beta-max 40 --beta-points 4001 --format csv`
 # (26 354 fixed points on the 0.01 grid), recorded as the digests above
-DENSE_SCAN_CSV_DIGEST = "e42acc1002ac8140679626d955c7c54f34e7b418c5dde3ade1d3685bf08e5d8a"
+DENSE_SCAN_CSV_DIGEST = "7a5008b33a872d67e1bd26ce16980594d4bf5420eada66d951a1e1488ea37b05"
 
 
 def test_dense_meanfield_scan_output_oracle(capsys):
