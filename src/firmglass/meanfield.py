@@ -31,7 +31,9 @@ The map applies the simulation's heat-bath softmax
 (:func:`core.heat_bath_weights`) to the occupied fractions.  Stability comes
 from the map's exact 2x2 Jacobian (:func:`mean_field_jacobian`), which needs
 no evaluation off the simplex, so fixed points at the ordered corners are
-classified for any beta >= 0.
+classified for any beta >= 0.  A point is stable when the Jacobian's
+spectral radius is < 1; the radius is the closed form of a 2x2 matrix's
+eigenvalues, evaluated in Python floats, with no eigenvalue solver.
 
 Two independent routes predict the default fraction reached from uniformly
 distributed starting ratings:
@@ -58,6 +60,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,11 +145,45 @@ def mean_field_jacobian(p_up: float, q_down: float, beta: float) -> np.ndarray:
     beta * (1 - p_up - q_down) give
     beta * [[u (1 - u + s), -u (d - s)], [-d (u - s), d (1 - d + s)]].
     """
+    a11, a12, a21, a22 = _jacobian_entries(p_up, q_down, beta)
+    return np.array([[a11, a12], [a21, a22]])
+
+
+def _jacobian_entries(
+    p_up: float, q_down: float, beta: float
+) -> tuple[float, float, float, float]:
+    """The Jacobian's entries (a11, a12, a21, a22), row-major, as scalars."""
     u, d = mean_field_map(p_up, q_down, beta)
     s = 1.0 - u - d
-    return beta * np.array(
-        [[u * (1.0 - u + s), -u * (d - s)], [-d * (u - s), d * (1.0 - d + s)]]
+    return (
+        beta * (u * (1.0 - u + s)),
+        beta * (-u * (d - s)),
+        beta * (-d * (u - s)),
+        beta * (d * (1.0 - d + s)),
     )
+
+
+def _spectral_radius(a11: float, a12: float, a21: float, a22: float) -> float:
+    """Spectral radius of [[a11, a12], [a21, a22]] in closed form.
+
+    The eigenvalues are half +- sqrt(disc), with half the mean of the
+    diagonal, gap half its difference and disc = gap**2 + a12 * a21.  disc
+    is not formed as tr**2 / 4 - det: near beta = 3 that difference cancels
+    and calls the saddle stable at 3 - 1e-9.  The entries are first scaled by
+    a power of two near the largest, which is exact; without it the products
+    of an ordered point's tiny entries underflow once beta > ~365.
+    """
+    _, exponent = math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))
+    a11 = math.ldexp(a11, -exponent)
+    a12 = math.ldexp(a12, -exponent)
+    a21 = math.ldexp(a21, -exponent)
+    a22 = math.ldexp(a22, -exponent)
+    half = 0.5 * (a11 + a22)
+    gap = 0.5 * (a11 - a22)
+    disc = gap * gap + a12 * a21
+    if disc >= 0.0:
+        return math.ldexp(abs(half) + math.sqrt(disc), exponent)
+    return math.ldexp(math.sqrt(half * half - disc), exponent)
 
 
 def _g(a: float, beta: float) -> float:
@@ -156,13 +193,18 @@ def _g(a: float, beta: float) -> float:
     of g only where a * exp(709) < 2, i.e. for a < 2.5e-308, so it moves a
     root (near exp(-beta) once beta > 709) by less than that.
     """
-    return a * (2.0 + math.exp(min(beta * (1.0 - 3.0 * a), _EXP_CAP))) - 1.0
+    exponent = beta * (1.0 - 3.0 * a)
+    if exponent > _EXP_CAP:  # a conditional, as builtin min costs more than exp
+        exponent = _EXP_CAP
+    return a * (2.0 + math.exp(exponent)) - 1.0
 
 
 def _g_slope(a: float, beta: float) -> float:
     """g'(a) = 2 + exp(beta * (1 - 3a)) * (1 - 3 * beta * a), capped as in g."""
-    exponential = math.exp(min(beta * (1.0 - 3.0 * a), _EXP_CAP))
-    return 2.0 + exponential * (1.0 - 3.0 * beta * a)
+    exponent = beta * (1.0 - 3.0 * a)
+    if exponent > _EXP_CAP:
+        exponent = _EXP_CAP
+    return 2.0 + math.exp(exponent) * (1.0 - 3.0 * beta * a)
 
 
 def _bisect(f: Callable[[float, float], float], lo: float, hi: float,
@@ -225,24 +267,28 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     a != 1/3 in increasing order, (a, a) (stay is the odd move),
     (1 - 2a, a) (up) and (a, 1 - 2a) (down).  That gives 1 point below the
     spinodal beta_s ~ 2.7456, 7 above it (at beta = 3 exactly, where 1/3 is
-    a double root, 4).  Stability is the spectral radius of the exact
-    Jacobian (:func:`mean_field_jacobian`) being < 1.  A beta that is not
-    finite and >= 0 is refused.
+    a double root, 4).  A point is stable when the spectral radius of the
+    exact Jacobian (:func:`mean_field_jacobian`) is < 1.  The radius comes
+    from the Jacobian's entries in closed form (:func:`_spectral_radius`),
+    not from an eigenvalue solver, so ``stable`` is a Python bool for a
+    numpy-scalar beta too.  A beta that is not finite and >= 0 is refused.
     """
     _require_beta(beta)
+    scalar = float(beta)  # numpy scalars bisect slowly and make numpy bools
     third = 1.0 / 3.0
     pairs = [(third, third)]
-    for a in _roots_off_third(float(beta)):  # numpy scalars bisect slowly
+    for a in _roots_off_third(scalar):
         b = 1.0 - 2.0 * a
         pairs += [(a, a), (b, a), (a, b)]
-    points = []
-    for p, q in pairs:
-        eigenvalues = np.linalg.eigvals(mean_field_jacobian(p, q, beta))
-        radius = float(np.max(np.abs(eigenvalues)))
-        points.append(
-            MeanFieldPoint(p_up=p, q_down=q, beta=beta, stable=radius < 1.0)
+    return [
+        MeanFieldPoint(
+            p_up=p,
+            q_down=q,
+            beta=beta,
+            stable=_spectral_radius(*_jacobian_entries(p, q, scalar)) < 1.0,
         )
-    return points
+        for p, q in pairs
+    ]
 
 
 def critical_beta() -> float:
@@ -287,17 +333,36 @@ def predict_phase(params: ModelParams) -> PhasePrediction:
 # --------------------------------------------------------------------------
 
 
-def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.ndarray:
-    """Stack of one-move rating transition matrices, one per (up, down) pair;
-    the callers check r_max."""
-    matrices = np.zeros((len(ups), r_max + 1, r_max + 1))
+@lru_cache(maxsize=1)
+def _transition_template(r_max: int) -> np.ndarray:
+    """Where each entry of a flattened transition matrix comes from: an index
+    into a pair's row (0, 1, up, down, stay, 1 - down) of
+    :func:`_transition_matrices`.  Read-only, as every call shares it."""
+    template = np.zeros((r_max + 1, r_max + 1), dtype=np.intp)
     rated = np.arange(1, r_max + 1)
-    matrices[:, 0, 0] = 1.0
-    matrices[:, rated[:-1], rated[:-1] + 1] = ups[:, None]
-    matrices[:, rated, rated - 1] = downs[:, None]
-    matrices[:, rated, rated] = (1.0 - ups - downs)[:, None]
-    matrices[:, r_max, r_max] = 1.0 - downs  # an up-move at r_max reflects
-    return matrices
+    template[0, 0] = 1
+    template[rated[:-1], rated[:-1] + 1] = 2
+    template[rated, rated - 1] = 3
+    template[rated, rated] = 4
+    template[r_max, r_max] = 5  # an up-move at r_max reflects
+    template = template.ravel()
+    template.setflags(write=False)
+    return template
+
+
+def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.ndarray:
+    """Stack of one-move rating transition matrices, one per (up, down) pair,
+    gathered from each pair's six distinct entries; the callers check r_max."""
+    values = np.empty((len(ups), 6))
+    columns = values.T
+    columns[0] = 0.0
+    columns[1] = 1.0
+    columns[2] = ups
+    columns[3] = downs
+    np.subtract(1.0, ups, out=columns[4])
+    columns[4] -= downs  # stay = (1 - up) - down, the scalar rounding
+    np.subtract(1.0, downs, out=columns[5])
+    return values[:, _transition_template(r_max)].reshape(-1, r_max + 1, r_max + 1)
 
 
 def _default_fractions(
@@ -312,8 +377,11 @@ def _default_fractions(
     for start in range(0, len(ups), block):
         stop = start + block
         matrices = _transition_matrices(ups[start:stop], downs[start:stop], r_max)
+        # numpy's own multiplication order: a squaring loop of our own
+        # differs from it in the last bit at steps = 3
         evolved = np.linalg.matrix_power(matrices, steps)
-        levels[start:stop] = evolved[:, 1:, 0].mean(axis=1)
+        evolved[:, 1:, 0].sum(axis=1, out=levels[start:stop])
+    levels /= r_max  # the mean over start classes, divided as ndarray.mean does
     return levels
 
 
@@ -362,11 +430,14 @@ _CLOSED_FORM_BRACKETS: dict[int, list[float]] = {
 
 def _closed_form_values(downs: np.ndarray, ups: np.ndarray) -> np.ndarray:
     """The printed closed form per (down, up) pair; argument order as below."""
+    distinct, position = np.unique(ups, return_inverse=True)
+    bases = distinct.tolist()
     total = np.zeros(len(ups))
     for power, coefficients in _CLOSED_FORM_BRACKETS.items():
         # Python's float ** keeps the scalar rounding; numpy's power differs
-        # from it in the last ulp on some rows, which changes the archived grid
-        up_power = np.array([up**power for up in ups.tolist()])
+        # from it in the last ulp on some rows, which changes the archived grid.
+        # Each distinct up is raised once (a grid block repeats a few of them).
+        up_power = np.array([up**power for up in bases])[position]
         total += np.polyval(coefficients, downs) * up_power
     return total / 7.0
 

@@ -13,7 +13,11 @@ from firmglass.core import R_MAX, STEPS, ModelParams
 from firmglass.meanfield import (
     _CLOSED_FORM_BRACKETS,
     MeanFieldPoint,
+    _closed_form_values,
+    _default_fractions,
     _deviation_grid_rows,
+    _jacobian_entries,
+    _spectral_radius,
     closed_form_deviation_grid,
     critical_beta,
     default_fraction_closed_form,
@@ -169,6 +173,50 @@ def test_symmetric_stability_crossing():
         assert symmetric_point_radius(beta) == pytest.approx(beta / 3, abs=1e-12)
 
 
+def stability_test_betas():
+    """The 0.01 grid on [0, 40] plus the betas where the radius sits nearest 1
+    or the Jacobian is extreme: within 1e-9 and 1e-6 of 3, across the
+    spinodal, at 2 + ln 2 (where g' first vanishes), at 4 ln 2, and at the
+    exponent cap and beyond."""
+    offsets = [k * scale for k in range(1, 6) for scale in (1e-9, 1e-6)]
+    return (
+        np.linspace(0.0, 40.0, 4001).tolist()
+        + [3.0 + offset for offset in offsets]
+        + [3.0 - offset for offset in offsets]
+        + np.linspace(2.7455, 2.7457, 41).tolist()
+        + [2.0 + math.log(2.0), 4.0 * math.log(2.0), 709.0, 1000.0]
+    )
+
+
+def test_closed_form_radius_matches_the_eigenvalue_solver():
+    for beta in stability_test_betas():
+        for point in mean_field_fixed_points(beta):
+            p, q = point.p_up, point.q_down
+            reference = spectral_radius(p, q, beta)
+            radius = _spectral_radius(*_jacobian_entries(p, q, beta))
+            assert type(radius) is float
+            assert abs(radius - reference) <= 1e-12 * reference, (beta, p, q)
+            assert point.stable == (reference < 1.0), (beta, p, q, reference)
+
+
+def reference_jacobian(p_up, q_down, beta):
+    """The Jacobian as one numpy expression, scaled by beta as an array."""
+    u, d = mean_field_map(p_up, q_down, beta)
+    s = 1.0 - u - d
+    return beta * np.array(
+        [[u * (1.0 - u + s), -u * (d - s)], [-d * (u - s), d * (1.0 - d + s)]]
+    )
+
+
+def test_jacobian_entries_are_bit_identical_to_the_array_expression():
+    for beta, p, q in ((0.0, 0.2, 0.3), (2.5, 0.1, 0.7), (3, 1 / 3, 1 / 3),
+                       (np.float64(3.0 - 1e-9), 1 / 3, 1 / 3), (40.0, 1.0, 0.0),
+                       (1000.0, 0.0, 0.0), (7.3, 0.05, 0.9)):
+        reference = bits(reference_jacobian(p, q, beta).ravel().tolist())
+        assert bits(mean_field_jacobian(p, q, beta).ravel().tolist()) == reference
+        assert bits([float(x) for x in _jacobian_entries(p, q, float(beta))]) == reference
+
+
 def test_critical_beta_value():
     beta_c = critical_beta()
     assert beta_c == 3.0
@@ -183,6 +231,12 @@ def test_fixed_points_hold_floats():
         for point in mean_field_fixed_points(beta):
             assert type(point.p_up) is float and type(point.q_down) is float
             assert type(point.beta) is float and type(point.stable) is bool
+    # the CLI passes np.linspace values: a radius computed in numpy scalars
+    # would make `stable` a numpy.bool, which json cannot write
+    for beta in np.linspace(0.0, 40.0, 17):
+        for point in mean_field_fixed_points(beta):
+            assert type(point.p_up) is float and type(point.q_down) is float
+            assert type(point.stable) is bool
 
 
 def test_meanfield_point_validation():
@@ -580,6 +634,28 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
         closed = default_fraction_closed_form(q, p)
         assert type(closed) is float
         assert bits([closed]) == bits([reference_closed_form(q, p)])
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 8])
+def test_block_chain_and_closed_form_are_bit_identical_to_the_scalar_loop(steps):
+    rng = np.random.default_rng(42)
+    # off-grid blocks, each p_up repeated, and one more than a block of rows
+    block = 1 + 2**15 // (R_MAX + 1) ** 2
+    ups = rng.choice(rng.uniform(0.0, 1.0, 40), size=block)
+    downs = rng.uniform(0.0, 1.0, block) * (1.0 - ups)
+    for r_max in (1, 2, R_MAX, 12):
+        for lo, hi in ((0, block), (7, 8)):
+            levels = _default_fractions(ups[lo:hi], downs[lo:hi], steps, r_max)
+            assert bits(levels.tolist()) == bits(
+                [reference_markov(p, q, steps, r_max)
+                 for p, q in zip(ups[lo:hi].tolist(), downs[lo:hi].tolist())]
+            ), (r_max, lo, hi)
+    for lo, hi in ((0, block), (7, 8)):
+        closed = _closed_form_values(downs[lo:hi], ups[lo:hi])
+        assert bits(closed.tolist()) == bits(
+            [reference_closed_form(q, p)
+             for p, q in zip(ups[lo:hi].tolist(), downs[lo:hi].tolist())]
+        )
 
 
 # ---------------------------------------------------------------------------
