@@ -214,7 +214,7 @@ def test_jacobian_entries_are_bit_identical_to_the_array_expression():
                        (1000.0, 0.0, 0.0), (7.3, 0.05, 0.9)):
         reference = bits(reference_jacobian(p, q, beta).ravel().tolist())
         assert bits(mean_field_jacobian(p, q, beta).ravel().tolist()) == reference
-        assert bits([float(x) for x in _jacobian_entries(p, q, float(beta))]) == reference
+        assert bits(_jacobian_entries(p, q, float(beta))) == reference
 
 
 def test_critical_beta_value():
