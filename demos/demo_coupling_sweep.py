@@ -19,7 +19,6 @@ J_CRITICAL = 3.0 / N_FIRMS
 
 spec = SweepSpec(
     base=ModelParams(n_firms=N_FIRMS, sigma_j=0.001),
-    sweep_variable="j0",
     values=tuple(np.round(np.linspace(0.0, 2.5 * J_CRITICAL, 11), 12)),
     k_realizations=K,
     master_seed=7,

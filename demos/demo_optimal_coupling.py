@@ -31,7 +31,6 @@ spec = SweepSpec(
         sigma_j=0.001,
         f_table=f_table_from_weights(*RATING_DRIFT_WEIGHTS),
     ),
-    sweep_variable="j0",
     values=tuple(np.round(J0N_GRID / N_FIRMS, 12)),
     k_realizations=K,
     master_seed=11,

@@ -102,14 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mf = sub.add_parser("meanfield",
                           help="fixed points and predicted default levels over a beta range")
-    p_mf.add_argument("--beta-min", type=float, default=None)
-    p_mf.add_argument("--beta-max", type=float, default=None)
+    p_mf.add_argument("--beta-min", type=float, default=0.0)
+    p_mf.add_argument("--beta-max", type=float, default=6.0)
     p_mf.add_argument("--beta-points", type=int, default=13)
-    p_mf.add_argument("--j0-min", type=float, default=None)
-    p_mf.add_argument("--j0-max", type=float, default=None)
-    p_mf.add_argument("--j0-points", type=int, default=None)
-    p_mf.add_argument("--n", type=int, default=1000,
-                      help="firm count used to convert j0 to beta = j0*N")
     p_mf.add_argument("--steps", type=int, default=STEPS)
     p_mf.add_argument("--rmax", type=int, default=R_MAX)
     p_mf.add_argument("--out", type=str, default=None)
@@ -162,7 +157,6 @@ def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec
     )
     return SweepSpec(
         base=base,
-        sweep_variable="j0",
         values=values,
         k_realizations=args.k,
         master_seed=args.seed,
@@ -186,27 +180,12 @@ def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def _meanfield_betas(args: argparse.Namespace) -> list[float]:
-    bounds = {"--beta-min": args.beta_min, "--beta-max": args.beta_max,
-              "--j0-min": args.j0_min, "--j0-max": args.j0_max}
-    for flag, value in bounds.items():
-        if value is not None and not math.isfinite(value):
+    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
-    j0_flags = (args.j0_min, args.j0_max, args.j0_points)
-    if any(flag is not None for flag in j0_flags):
-        if any(flag is None for flag in j0_flags):
-            raise ValueError(
-                "--j0-min, --j0-max and --j0-points must be given together"
-            )
-        _require_increasing("--j0-min", args.j0_min, "--j0-max", args.j0_max)
-        require_integer("--j0-points", args.j0_points, 2)
-        require_integer("--n", args.n, 1)
-        j0_values = np.linspace(args.j0_min, args.j0_max, args.j0_points).tolist()
-        return [j0 * args.n for j0 in j0_values]
-    beta_min = 0.0 if args.beta_min is None else args.beta_min
-    beta_max = 6.0 if args.beta_max is None else args.beta_max
-    _require_increasing("--beta-min", beta_min, "--beta-max", beta_max)
+    _require_increasing("--beta-min", args.beta_min, "--beta-max", args.beta_max)
     require_integer("--beta-points", args.beta_points, 2)
-    return list(np.linspace(beta_min, beta_max, args.beta_points))
+    return np.linspace(args.beta_min, args.beta_max, args.beta_points).tolist()
 
 
 def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
@@ -253,6 +232,9 @@ def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
         if not has_closed_form:
             raise ValueError(f"--grid needs --steps {STEPS} --rmax {R_MAX}, the closed "
                              "form's only portfolio")
+        if (args.p, args.q) != (None, None):
+            raise ValueError("--p and --q cannot be given with --grid, which "
+                             "covers the whole simplex")
         header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
         # the step is checked here; the rows stream out in the run phase
         return csv_chunks(header, _deviation_grid_rows(args.grid_step))

@@ -35,25 +35,21 @@ from .core import (
 from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
 
-SWEEP_VARIABLES = ("j0", "sigma_j")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: a base configuration, the varied parameter and its values."""
+    """One sweep: a base configuration and the j0 values it takes in turn.
+
+    The mean coupling j0 is the model's one control parameter; every other
+    parameter stays at its ``base`` value.
+    """
 
     base: ModelParams
-    sweep_variable: str
     values: tuple[float, ...]
     k_realizations: int
     master_seed: int
 
     def __post_init__(self) -> None:
-        if self.sweep_variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"sweep_variable must be one of {SWEEP_VARIABLES}, "
-                f"got {self.sweep_variable!r}"
-            )
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
         if not all(math.isfinite(value) for value in self.values):
@@ -71,7 +67,7 @@ class SweepSpec:
         return "constant_table"
 
     def params_at(self, value: float) -> ModelParams:
-        return replace(self.base, **{self.sweep_variable: value})
+        return replace(self.base, j0=value)
 
 
 @dataclass
@@ -192,8 +188,8 @@ def run_ensemble(
     Realization k is seeded with child k of ``master_seed``, so the
     multiset of default counts (and their index order, hence all
     aggregates) does not depend on ``threads``.  This is the one-value case
-    of the scheduler :func:`run_sweep` uses.  The histogram has unit bins;
-    pass ``nd_values`` to :func:`ensemble_stats` for wider ones.
+    of the scheduler :func:`run_sweep` uses.  The histogram counts each
+    default count on its own.
     ``k_realizations`` and ``threads`` must be integers >= 1 and an integer
     ``master_seed`` must be >= 0; anything else raises ``ValueError``
     before any work.
@@ -220,11 +216,11 @@ def run_sweep(
 ) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
-    Every value's realizations share one worker pool, and each value's
-    histogram has unit bins.  A value that exhausts memory or loses a
-    worker process is recorded under metadata["failed_values"] and skipped;
-    the remaining values are unaffected.  A thread count that is not an
-    integer >= 1 raises ``ValueError`` before any work.
+    Every value's realizations share one worker pool.  A value that
+    exhausts memory or loses a worker process is recorded under
+    metadata["failed_values"] and skipped; the remaining values are
+    unaffected.  A thread count that is not an integer >= 1 raises
+    ``ValueError`` before any work.
     """
     require_integer("threads", threads, 1)
     started = time.perf_counter()
@@ -244,7 +240,7 @@ def run_sweep(
             if progress:
                 print(
                     f"[firmglass] sweep {index + 1}/{len(spec.values)} "
-                    f"{spec.sweep_variable}={value:g} {'failed' if lost else 'done'}",
+                    f"j0={value:g} {'failed' if lost else 'done'}",
                     file=sys.stderr,
                     flush=True,
                 )
@@ -294,7 +290,7 @@ def result_to_dict(result: SweepResult) -> dict:
     """Lossless plain-dict form of a sweep result (JSON document layout)."""
     spec = result.spec
     return {
-        "sweep_variable": spec.sweep_variable,
+        "sweep_variable": "j0",
         "values": list(spec.values),
         "k_realizations": spec.k_realizations,
         "master_seed": spec.master_seed,
@@ -316,7 +312,7 @@ def result_to_dict(result: SweepResult) -> dict:
                 "semivariance_plus": point.stats.semivariance_plus,
                 "nd_values": point.stats.nd_values,
                 "histogram": {str(b): c for b, c in point.stats.histogram.items()},
-                "bin_width": point.stats.bin_width,
+                "bin_width": 1,
                 "phase": {
                     "j_critical": point.phase.j_critical,
                     "sigma_glass": point.phase.sigma_glass,
@@ -334,9 +330,24 @@ def result_to_dict(result: SweepResult) -> dict:
 def result_from_dict(doc: dict) -> SweepResult:
     """Inverse of :func:`result_to_dict`.
 
-    Raises ValueError when the document's ``f_mode`` contradicts its
-    ``f_table``, since the mode is derived from the table.
+    Raises ValueError for a document that lacks a key or has the wrong
+    shape, one that sweeps anything but j0 or bins its histograms wider
+    than one count, and one whose ``f_mode`` contradicts its ``f_table``,
+    since the mode is derived from the table.
     """
+    try:
+        return _result_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"sweep document lacks the key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"sweep document has the wrong shape: {exc}") from exc
+
+
+def _result_from_dict(doc: dict) -> SweepResult:
+    if doc["sweep_variable"] != "j0":
+        raise ValueError(
+            f"sweep_variable must be 'j0', got {doc['sweep_variable']!r}"
+        )
     base = ModelParams(
         n_firms=doc["base_params"]["n_firms"],
         j0=doc["base_params"]["j0"],
@@ -348,7 +359,6 @@ def result_from_dict(doc: dict) -> SweepResult:
     )
     spec = SweepSpec(
         base=base,
-        sweep_variable=doc["sweep_variable"],
         values=tuple(doc["values"]),
         k_realizations=doc["k_realizations"],
         master_seed=doc["master_seed"],
@@ -358,6 +368,8 @@ def result_from_dict(doc: dict) -> SweepResult:
             f"f_mode {doc['f_mode']!r} contradicts the f_table, which makes it "
             f"{spec.f_mode!r}"
         )
+    if any(entry["bin_width"] != 1 for entry in doc["points"]):
+        raise ValueError("every histogram must have bin_width 1")
     points = [
         SweepPoint(
             sweep_value=entry["sweep_value"],
@@ -366,7 +378,6 @@ def result_from_dict(doc: dict) -> SweepResult:
                 mean_nd=entry["mean_nd"],
                 semivariance_plus=entry["semivariance_plus"],
                 histogram={int(b): c for b, c in entry["histogram"].items()},
-                bin_width=entry["bin_width"],
             ),
             phase=PhasePrediction(
                 j_critical=entry["phase"]["j_critical"],
@@ -463,7 +474,6 @@ _DEFAULT_PRESET_SEED = 20_260_809
 def _j0_sweep(base: ModelParams, values, k: int, seed: int) -> SweepSpec:
     return SweepSpec(
         base=base,
-        sweep_variable="j0",
         values=tuple(float(v) for v in values),
         k_realizations=k,
         master_seed=seed,

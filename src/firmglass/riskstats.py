@@ -8,8 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import require_integer
-
 
 def mean_nd(nd_values: Sequence[int]) -> float:
     """Arithmetic mean of default counts over realizations."""
@@ -32,10 +30,9 @@ def upper_semivariance(nd_values: Sequence[int]) -> float:
     return float(np.sum(deviations[deviations > 0] ** 2) / (values.size - 1))
 
 
-def histogram(nd_values: Sequence[int], bin_width: int = 1) -> dict[int, int]:
-    """Counts per integer bin index, bin b covering [b * width, (b + 1) * width)."""
-    require_integer("bin_width", bin_width, 1)
-    counts = Counter(int(v) // int(bin_width) for v in nd_values)
+def histogram(nd_values: Sequence[int]) -> dict[int, int]:
+    """How many realizations ended at each default count, in count order."""
+    counts = Counter(int(v) for v in nd_values)
     return dict(sorted(counts.items()))
 
 
@@ -52,16 +49,14 @@ class EnsembleStats:
     mean_nd: float
     semivariance_plus: float | None
     histogram: dict[int, int]
-    bin_width: int = 1
 
 
-def ensemble_stats(nd_values: Sequence[int], bin_width: int = 1) -> EnsembleStats:
+def ensemble_stats(nd_values: Sequence[int]) -> EnsembleStats:
     """Bundle mean, upper semivariance and histogram for a list of counts."""
     values = [int(v) for v in nd_values]
     return EnsembleStats(
         nd_values=values,
         mean_nd=mean_nd(values),
         semivariance_plus=upper_semivariance(values) if len(values) >= 2 else None,
-        histogram=histogram(values, bin_width),
-        bin_width=int(bin_width),
+        histogram=histogram(values),
     )

@@ -197,7 +197,6 @@ def test_07_drift_field_optimum():
     j0n_grid = np.linspace(0.0, 40.0, 20)
     spec = SweepSpec(
         base=base,
-        sweep_variable="j0",
         values=tuple(j0n_grid / n),
         k_realizations=k,
         master_seed=107,
@@ -216,7 +215,6 @@ def test_07_drift_field_optimum():
 def glass_sweep():
     spec = SweepSpec(
         base=ModelParams(n_firms=1000, sigma_j=0.2),
-        sweep_variable="j0",
         values=(0.0, 0.0075, 0.015, 0.0225, 0.03),
         k_realizations=150,
         master_seed=108,
@@ -264,7 +262,6 @@ def test_08b_strong_disorder_low_coupling_level():
 def test_09_thread_count_determinism():
     spec = SweepSpec(
         base=ModelParams(n_firms=200, j0=0.001, sigma_j=0.01),
-        sweep_variable="j0",
         values=(0.0, 0.002),
         k_realizations=16,
         master_seed=109,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, flags, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import firmglass
 from firmglass import cli as cli_module
@@ -180,33 +183,19 @@ def test_meanfield_covers_the_ordered_phase(capsys):
     assert sum(point["stable"] for point in strongest["fixed_points"]) == 3
 
 
-def test_meanfield_j0_conversion(capsys):
-    code, out, _ = run_cli(
-        capsys, "meanfield", "--j0-min", "0", "--j0-max", "0.004",
-        "--j0-points", "2", "--n", "1000", "--format", "csv",
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    betas = {row[0] for row in rows[1:]}
-    assert betas == {"0.0", "4.0"}
-
-
-def test_meanfield_incomplete_j0_flags(capsys):
-    assert run_cli(capsys, "meanfield", "--j0-min", "0")[0] == 1
-
-
-def test_meanfield_j0_conversion_refuses_too_few_points_or_firms(capsys):
-    for points, n in (("0", "1000"), ("1", "1000"), ("2", "0")):
-        code, out, err = run_cli(capsys, "meanfield", "--j0-min", "0", "--j0-max", "0.004",
-                                 "--j0-points", points, "--n", n)
-        assert code == 1 and "configuration error" in err and out == ""
+def test_meanfield_refuses_a_short_or_empty_beta_range(capsys):
+    for argv in (["--beta-points", "1"], ["--beta-points", "0"],
+                 ["--beta-min", "3", "--beta-max", "2"],
+                 # equal to the default --beta-max of 6
+                 ["--beta-min", "6"]):
+        code, out, err = run_cli(capsys, "meanfield", *argv)
+        assert code == 1, argv
+        assert "configuration error" in err and out == ""
 
 
 def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
     for argv in (["--beta-max", "nan", "--beta-points", "2"],
-                 ["--beta-min=-inf"],
-                 ["--j0-min", "0", "--j0-max", "inf", "--j0-points", "2"],
-                 ["--j0-min", "0", "--j0-max", "1e306", "--j0-points", "2"]):
+                 ["--beta-min=-inf"]):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "meanfield", *argv)
         assert time.perf_counter() - started < 1.0
@@ -225,7 +214,10 @@ def test_chain_flags_exit_one_before_any_output(capsys):
                  ["oracle", "--grid", "--steps", "9"],
                  ["oracle", "--grid", "--rmax", "6"],
                  ["oracle", "--grid", "--grid-step", "0"],
-                 ["oracle", "--grid", "--grid-step", "1e-4"]):
+                 ["oracle", "--grid", "--grid-step", "1e-4"],
+                 # the grid covers the whole simplex, so a point is a mistake
+                 ["oracle", "--grid", "--p", "0.3", "--q", "0.9"],
+                 ["oracle", "--grid", "--q", "0.3"]):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - started < 1.0
@@ -244,6 +236,40 @@ def test_reproduce_desk_scale(tmp_path, capsys):
     doc = json.loads(target.read_text())
     assert doc["values"] == [0.0001]
     assert doc["base_params"]["n_firms"] == 40
+
+
+# sha256 of each sweep document, with metadata.wall_time_s (the one field
+# that varies between runs) dropped from the JSON: pins the document layout
+# and every value byte for byte
+SWEEP_OUTPUT_COMMANDS = {
+    "run": ["run", "--n", "50", "--k", "4", "--seed", "1", "--j0", "0.02"],
+    "reproduce": ["reproduce", "fig8-9", "--n", "30", "--k", "3", "--threads", "2"],
+}
+SWEEP_OUTPUT_DIGESTS = {
+    ("run", "json"):
+        "5f6ae55e8da2f5b6b23d4f2492918b6bb555b92d86334c9f2b3d896ebf72939b",
+    ("run", "csv"):
+        "89e7ffe9f04f9dd8e5687dfedff7913619525f4b3321e9d5a2cfacb79cc0fcf2",
+    ("reproduce", "json"):
+        "ae80dddff2d1fd20862a408ba17d69dac0f8575cd2548985e251de514feb299d",
+    ("reproduce", "csv"):
+        "b109df4a3900b6b299d6e6497bf0f3e551ea408312961a9cc06df1ccda20c5ef",
+}
+
+
+@pytest.mark.parametrize("command, output_format", sorted(SWEEP_OUTPUT_DIGESTS))
+def test_sweep_output_oracle(command, output_format, capsys):
+    code, out, _ = run_cli(capsys, *SWEEP_OUTPUT_COMMANDS[command],
+                           "--format", output_format)
+    assert code == 0
+    if output_format == "json":
+        doc = json.loads(out)
+        # the text is the plain indent-2 dump, so re-dumping drops only the key
+        assert json.dumps(doc, indent=2) + "\n" == out
+        del doc["metadata"]["wall_time_s"]
+        out = json.dumps(doc, indent=2) + "\n"
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == SWEEP_OUTPUT_DIGESTS[command, output_format]
 
 
 def test_reproduce_unknown_preset_exits_one(capsys):

@@ -30,7 +30,6 @@ DESK = ModelParams(n_firms=60, j0=0.001, sigma_j=0.02)
 def desk_spec(values=(0.0, 0.002), k=6, seed=99, base=DESK):
     return SweepSpec(
         base=base,
-        sweep_variable="j0",
         values=values,
         k_realizations=k,
         master_seed=seed,
@@ -52,9 +51,6 @@ def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         desk_spec(k=0)
     with pytest.raises(ValueError):
-        SweepSpec(base=DESK, sweep_variable="r_max", values=(1.0,),
-                  k_realizations=2, master_seed=0)
-    with pytest.raises(ValueError):
         desk_spec(values=(0.0, math.nan))
     for k, seed in ((2.5, 0), (True, 0), (2, 1.5), (2, -1)):
         with pytest.raises(ValueError):
@@ -75,10 +71,7 @@ def test_f_mode_is_derived_from_f_table():
 
 
 def test_params_at_replaces_the_swept_variable():
-    spec = SweepSpec(base=DESK, sweep_variable="sigma_j", values=(0.1, 0.2),
-                     k_realizations=2, master_seed=0)
-    assert spec.params_at(0.2).sigma_j == 0.2
-    assert spec.params_at(0.2).j0 == DESK.j0
+    assert desk_spec(values=(0.1, 0.2)).params_at(0.2) == replace(DESK, j0=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +148,35 @@ def test_json_round_trip():
     restored = result_from_json(text)
     assert restored == result
     assert result_to_json(restored) == text
+
+
+def test_from_dict_refuses_a_sweep_of_another_variable_or_wider_bins():
+    text = result_to_json(run_sweep(desk_spec(k=2)))
+    other_variable = json.loads(text)
+    other_variable["sweep_variable"] = "sigma_j"
+    with pytest.raises(ValueError, match="sweep_variable"):
+        result_from_dict(other_variable)
+    wider_bins = json.loads(text)
+    wider_bins["points"][-1]["bin_width"] = 2
+    with pytest.raises(ValueError, match="bin_width"):
+        result_from_dict(wider_bins)
+
+
+def test_malformed_document_is_refused_with_value_error():
+    text = result_to_json(run_sweep(desk_spec(k=2)))
+    no_mean = json.loads(text)
+    del no_mean["points"][0]["mean_nd"]
+    list_histogram = json.loads(text)
+    list_histogram["points"][0]["histogram"] = [1, 2]
+    scalar_points = {**json.loads(text), "points": 3}
+    for bad, problem in (("{}", "lacks the key 'sweep_variable'"),
+                         ("[]", "wrong shape"),
+                         ("3", "wrong shape"),
+                         (json.dumps(no_mean), "lacks the key 'mean_nd'"),
+                         (json.dumps(list_histogram), "wrong shape"),
+                         (json.dumps(scalar_points), "wrong shape")):
+        with pytest.raises(ValueError, match=problem):
+            result_from_json(bad)
 
 
 def test_csv_layout():
@@ -308,7 +330,7 @@ def test_parent_error_cancels_the_queued_values(monkeypatch, tmp_path):
         experiment, "_realization_nd", functools.partial(_realization_nd_logged, log_path)
     )
 
-    def failing_stats(nd_values, bin_width=1):
+    def failing_stats(nd_values):
         raise RuntimeError("stats failed")
 
     monkeypatch.setattr(experiment, "ensemble_stats", failing_stats)
