@@ -26,7 +26,6 @@ import numpy as np
 from .core import (
     R_MAX,
     RATING_DRIFT_WEIGHTS,
-    SELECTION_MODES,
     STEPS,
     ModelParams,
     f_table_from_weights,
@@ -66,9 +65,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="exp(f) weight of staying (constant_table mode only)")
     parser.add_argument("--f-up", type=float, default=None,
                         help="exp(f) weight of an up move (constant_table mode only)")
-    parser.add_argument("--selection", choices=SELECTION_MODES,
-                        default="with_replacement",
-                        help="how firms are picked within a time step")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -153,7 +149,6 @@ def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec
         r_max=args.rmax,
         steps=args.steps,
         f_table=_f_table(args),
-        selection=args.selection,
     )
     return SweepSpec(
         base=base,

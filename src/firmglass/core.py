@@ -55,8 +55,6 @@ R_MAX = 7
 #: its rating with probability 0.75, loses a notch with 0.15, gains with 0.10.
 RATING_DRIFT_WEIGHTS = (0.15, 0.75, 0.10)
 
-SELECTION_MODES = ("with_replacement", "permutation")
-
 
 def require_integer(name: str, value: object, minimum: int) -> None:
     """Refuse a count or seed that is not an integer >= ``minimum``.
@@ -129,15 +127,12 @@ class ModelParams:
         Top rating class; ratings live in {0, ..., r_max} with r_max + 1
         levels and 0 meaning default.
     steps:
-        Time horizon; each step performs ``n_firms`` micro-updates.
+        Time horizon; each step performs ``n_firms`` micro-updates on firms
+        drawn uniformly with replacement (:func:`draw_update_order`).
     f_table:
         Per-move drift term f(s), keyed by the move value -1/0/+1.  Stored
         as an :class:`FTable` copy, so later changes to the caller's
         mapping do not reach the params.
-    selection:
-        How firms are picked within a time step: ``with_replacement``
-        (uniform i.i.d., the default) or ``permutation`` (each firm exactly
-        once, random order).
     """
 
     n_firms: int
@@ -146,7 +141,6 @@ class ModelParams:
     r_max: int = R_MAX
     steps: int = STEPS
     f_table: Mapping[int, float] = field(default_factory=zero_f_table)
-    selection: str = "with_replacement"
 
     def __post_init__(self) -> None:
         require_integer("n_firms", self.n_firms, 1)
@@ -166,10 +160,6 @@ class ModelParams:
             )
         if not all(math.isfinite(f) for f in self.f_table.values()):
             raise ValueError(f"f_table values must be finite, got {dict(self.f_table)}")
-        if self.selection not in SELECTION_MODES:
-            raise ValueError(
-                f"selection must be one of {SELECTION_MODES}, got {self.selection!r}"
-            )
 
 
 @dataclass
@@ -347,9 +337,8 @@ def micro_update(
 
 
 def draw_update_order(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
-    """Firm indices visited in one time step, per the selection mode."""
-    if params.selection == "permutation":
-        return rng.permutation(params.n_firms)
+    """Firm indices visited in one time step: ``n_firms`` uniform draws with
+    replacement, so a firm is updated Binomial(N, 1/N) times per step."""
     return rng.integers(0, params.n_firms, size=params.n_firms)
 
 

@@ -81,6 +81,8 @@ class SweepPoint:
 class SweepResult:
     """Per-value statistics and phase predictions plus run metadata.
 
+    The points follow ``spec.values`` in order, one per value that did not
+    fail, each with ``spec.k_realizations`` ND values (else ``ValueError``).
     ``metadata`` carries the package version, wall time and any values that
     failed on resource exhaustion; everything needed to reproduce the run
     bit-identically lives in ``spec``.
@@ -88,8 +90,23 @@ class SweepResult:
 
     spec: SweepSpec
     points: list[SweepPoint]
-    argmin_index: int | None
     metadata: dict
+
+    def __post_init__(self) -> None:
+        # ``in`` consumes ``values`` up to the match, so each point's value
+        # must come later in the spec than the previous point's
+        values = iter(self.spec.values)
+        for index, point in enumerate(self.points):
+            if point.sweep_value not in values:
+                raise ValueError(f"points[{index}].sweep_value is not a later value of the spec")
+            if len(point.stats.nd_values) != self.spec.k_realizations:
+                raise ValueError(f"points[{index}].nd_values must hold k_realizations values")
+
+    @property
+    def argmin_index(self) -> int | None:
+        """Index of the point with the lowest mean ND, the first on a tie."""
+        means = [point.stats.mean_nd for point in self.points]
+        return means.index(min(means)) if means else None
 
     @property
     def argmin_sweep_value(self) -> float | None:
@@ -208,6 +225,11 @@ def run_ensemble(
     return ensemble_stats(outcome)
 
 
+def _sweep_point(spec: SweepSpec, value: float, nd_values: Sequence[int]) -> SweepPoint:
+    """The point of one sweep value: its ND values' stats and its phase."""
+    return SweepPoint(value, ensemble_stats(nd_values), predict_phase(spec.params_at(value)))
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -226,10 +248,9 @@ def run_sweep(
     started = time.perf_counter()
     root = np.random.SeedSequence(spec.master_seed)
     value_seeds = root.spawn(len(spec.values))
-    params_by_value = [spec.params_at(value) for value in spec.values]
     task_lists = [
-        _realization_tasks(params, seed, spec.k_realizations)
-        for params, seed in zip(params_by_value, value_seeds)
+        _realization_tasks(spec.params_at(value), seed, spec.k_realizations)
+        for value, seed in zip(spec.values, value_seeds)
     ]
     points: list[SweepPoint] = []
     failed: dict[str, str] = {}
@@ -247,26 +268,13 @@ def run_sweep(
             if lost:
                 failed[repr(value)] = f"{type(outcome).__name__}: {outcome}"
                 continue
-            points.append(
-                SweepPoint(
-                    sweep_value=value,
-                    stats=ensemble_stats(outcome),
-                    phase=predict_phase(params_by_value[index]),
-                )
-            )
-    argmin_index = None
-    if points:
-        argmin_index = int(
-            np.argmin([point.stats.mean_nd for point in points])
-        )
+            points.append(_sweep_point(spec, value, outcome))
     metadata = {
         "package_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "failed_values": failed,
     }
-    return SweepResult(
-        spec=spec, points=points, argmin_index=argmin_index, metadata=metadata
-    )
+    return SweepResult(spec=spec, points=points, metadata=metadata)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +309,7 @@ def result_to_dict(result: SweepResult) -> dict:
             "sigma_j": spec.base.sigma_j,
             "r_max": spec.base.r_max,
             "steps": spec.base.steps,
-            "selection": spec.base.selection,
+            "selection": "with_replacement",
             "f_table": {str(s): spec.base.f_table[s] for s in (-1, 0, 1)},
         },
         "points": [
@@ -330,10 +338,11 @@ def result_to_dict(result: SweepResult) -> dict:
 def result_from_dict(doc: dict) -> SweepResult:
     """Inverse of :func:`result_to_dict`.
 
-    Raises ValueError for a document that lacks a key or has the wrong
-    shape, one that sweeps anything but j0 or bins its histograms wider
-    than one count, and one whose ``f_mode`` contradicts its ``f_table``,
-    since the mode is derived from the table.
+    Rebuilds the result from the spec, each point's sweep value and ND
+    values, and the metadata, with the code :func:`run_sweep` uses.  Raises
+    ValueError for a document that lacks a key or has the wrong shape, and
+    for one that is not what :func:`result_to_dict` writes for the rebuilt
+    result, naming every field that differs.
     """
     try:
         return _result_from_dict(doc)
@@ -344,55 +353,51 @@ def result_from_dict(doc: dict) -> SweepResult:
 
 
 def _result_from_dict(doc: dict) -> SweepResult:
-    if doc["sweep_variable"] != "j0":
-        raise ValueError(
-            f"sweep_variable must be 'j0', got {doc['sweep_variable']!r}"
-        )
-    base = ModelParams(
-        n_firms=doc["base_params"]["n_firms"],
-        j0=doc["base_params"]["j0"],
-        sigma_j=doc["base_params"]["sigma_j"],
-        r_max=doc["base_params"]["r_max"],
-        steps=doc["base_params"]["steps"],
-        selection=doc["base_params"]["selection"],
-        f_table={int(s): f for s, f in doc["base_params"]["f_table"].items()},
-    )
+    params = doc["base_params"]
     spec = SweepSpec(
-        base=base,
+        base=ModelParams(
+            n_firms=params["n_firms"],
+            j0=params["j0"],
+            sigma_j=params["sigma_j"],
+            r_max=params["r_max"],
+            steps=params["steps"],
+            f_table={int(s): f for s, f in params["f_table"].items()},
+        ),
         values=tuple(doc["values"]),
         k_realizations=doc["k_realizations"],
         master_seed=doc["master_seed"],
     )
-    if doc["f_mode"] != spec.f_mode:
-        raise ValueError(
-            f"f_mode {doc['f_mode']!r} contradicts the f_table, which makes it "
-            f"{spec.f_mode!r}"
-        )
-    if any(entry["bin_width"] != 1 for entry in doc["points"]):
-        raise ValueError("every histogram must have bin_width 1")
     points = [
-        SweepPoint(
-            sweep_value=entry["sweep_value"],
-            stats=EnsembleStats(
-                nd_values=list(entry["nd_values"]),
-                mean_nd=entry["mean_nd"],
-                semivariance_plus=entry["semivariance_plus"],
-                histogram={int(b): c for b, c in entry["histogram"].items()},
-            ),
-            phase=PhasePrediction(
-                j_critical=entry["phase"]["j_critical"],
-                sigma_glass=entry["phase"]["sigma_glass"],
-                regime=entry["phase"]["regime"],
-            ),
-        )
+        _sweep_point(spec, entry["sweep_value"], entry["nd_values"])
         for entry in doc["points"]
     ]
-    return SweepResult(
-        spec=spec,
-        points=points,
-        argmin_index=doc["argmin_index"],
-        metadata=doc["metadata"],
-    )
+    result = SweepResult(spec=spec, points=points, metadata=doc["metadata"])
+    differences = _differences(result_to_dict(result), doc)
+    if differences:
+        raise ValueError("sweep document differs from what its spec and ND values give "
+                         f"at: {', '.join(differences)}")
+    return result
+
+
+def _differences(written: object, doc: object, path: str = "") -> list[str]:
+    """Where ``doc`` departs from ``written``, each place named by its path."""
+    if doc == written:
+        return []
+    if isinstance(written, list):
+        # a list rebuilt from the document has its length
+        places = [(f"{path}[{index}]", item, doc[index]) for index, item in enumerate(written)]
+        found = []
+    elif isinstance(written, dict) and isinstance(doc, dict):
+        prefix = f"{path}." if path else ""
+        places = [(prefix + key, item, doc[key]) for key, item in written.items() if key in doc]
+        found = [f"{path or 'the document'} lacks the key {key!r}"
+                 for key in written if key not in doc]
+        found += [prefix + key for key in doc if key not in written]
+    else:
+        return [f"{path} has the wrong shape" if isinstance(written, dict) else path]
+    for where, item, entry in places:
+        found += _differences(item, entry, where)
+    return found
 
 
 def result_to_json(result: SweepResult) -> str:

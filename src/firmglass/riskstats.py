@@ -8,6 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import require_integer
+
 
 def mean_nd(nd_values: Sequence[int]) -> float:
     """Arithmetic mean of default counts over realizations."""
@@ -31,8 +33,14 @@ def upper_semivariance(nd_values: Sequence[int]) -> float:
 
 
 def histogram(nd_values: Sequence[int]) -> dict[int, int]:
-    """How many realizations ended at each default count, in count order."""
-    counts = Counter(int(v) for v in nd_values)
+    """How many realizations ended at each default count, in count order.
+
+    A count that is not an integer >= 0 raises ``ValueError``.
+    """
+    counts: Counter[int] = Counter()
+    for value in nd_values:
+        require_integer("each of nd_values", value, 0)
+        counts[int(value)] += 1
     return dict(sorted(counts.items()))
 
 
@@ -52,11 +60,13 @@ class EnsembleStats:
 
 
 def ensemble_stats(nd_values: Sequence[int]) -> EnsembleStats:
-    """Bundle mean, upper semivariance and histogram for a list of counts."""
+    """Bundle mean, upper semivariance and histogram; refuses counts as :func:`histogram` does."""
+    nd_values = list(nd_values)  # read twice below
+    counts = histogram(nd_values)
     values = [int(v) for v in nd_values]
     return EnsembleStats(
         nd_values=values,
         mean_nd=mean_nd(values),
         semivariance_plus=upper_semivariance(values) if len(values) >= 2 else None,
-        histogram=histogram(values),
+        histogram=counts,
     )

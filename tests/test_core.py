@@ -53,7 +53,6 @@ def make_state(couplings, ratings, spins):
         {"n_firms": 10, "sigma_j": -0.1},
         {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0}},
         {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0, 1: 0.0, 2: 0.0}},
-        {"n_firms": 10, "selection": "roundrobin"},
         {"n_firms": 10, "sigma_j": math.nan},
         {"n_firms": 10, "j0": math.inf},
         {"n_firms": 10, "f_table": {-1: 0.0, 0: math.nan, 1: 0.0}},
@@ -320,16 +319,6 @@ def test_time_step_with_replacement_occupancy():
     assert abs(touched - expected) <= 5.0 * math.sqrt(expected * (1 - expected) / n)
 
 
-def test_time_step_permutation_touches_everyone():
-    n = 500
-    params = ModelParams(n_firms=n, f_table=ALWAYS_UP, r_max=25,
-                         selection="permutation")
-    couplings = np.zeros((n, n))
-    state = make_state(couplings, np.ones(n), np.zeros(n))
-    time_step(state, couplings, params, np.random.default_rng(11))
-    assert np.all(state.ratings == 2)
-
-
 def test_zero_coupling_spin_distribution_uniform():
     # with no couplings and no drift the sampled moves must be uniform
     n = 3000
@@ -365,34 +354,23 @@ def digest(values):
 # (ND, ND trajectory, digest of final ratings, digest of final spins) for
 # seeds 0-4, recorded from the engine as it stood before the single-engine
 # rewrite: any change to the draw order or the arithmetic shows up here
-SEED_ORACLE = {
-    "with_replacement": [
+SEED_ORACLE = [
         (8, (4, 4, 5, 6, 7, 7, 8, 8), "13bf400bb14ec2a3", "b99f762affa75141"),
         (2, (0, 0, 0, 1, 2, 2, 2, 2), "03374fe1df8171aa", "d99c5f282b4a2b0e"),
         (1, (1, 1, 1, 1, 1, 1, 1, 1), "279c67ea7bc392d9", "f23cecca548654c9"),
         (5, (2, 2, 3, 3, 3, 3, 4, 5), "023239b58d49e999", "851b9f21e360571b"),
         (3, (1, 1, 2, 2, 2, 3, 3, 3), "15cfb6bea2764af1", "10f2a49f85e28d35"),
-    ],
-    "permutation": [
-        (6, (2, 3, 3, 3, 5, 6, 6, 6), "7bb7530dc241a2bf", "b4f0dac425efee69"),
-        (4, (1, 1, 3, 3, 3, 3, 3, 4), "43e43fad1f8649ce", "4660a799a1c77156"),
-        (3, (0, 0, 1, 2, 2, 2, 2, 3), "a2e113a22f518cb1", "34b6b699d07dcf64"),
-        (4, (2, 2, 2, 2, 2, 2, 3, 4), "ccd44ae2b432e1fc", "a7b509437904367c"),
-        (2, (0, 1, 1, 1, 1, 1, 2, 2), "591de9593ac50529", "d829e577d9aeeb70"),
-    ],
-}
+]
 
 
-@pytest.mark.parametrize("selection", ["with_replacement", "permutation"])
-def test_seed_oracle(selection):
+def test_seed_oracle():
     params = ModelParams(
         n_firms=60,
         j0=0.03,
         sigma_j=0.15,
         f_table=f_table_from_weights(0.15, 0.75, 0.10),
-        selection=selection,
     )
-    for seed, (nd, trajectory, ratings, spins) in enumerate(SEED_ORACLE[selection]):
+    for seed, (nd, trajectory, ratings, spins) in enumerate(SEED_ORACLE):
         outcome = run_realization(params, seed, record_trajectory=True)
         assert outcome.nd == nd
         assert outcome.nd_trajectory == trajectory

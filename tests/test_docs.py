@@ -1,17 +1,21 @@
-"""The demos and the README's Python code use the package's current API.
+"""The demos and the README's Python code and flags use the package's current API.
 
 The demos take seconds to minutes each, so nothing here runs them: each
 script is parsed with ``ast`` and every name it takes from ``firmglass`` is
 looked up, and every call to a ``firmglass`` callable is bound against the
-callable's signature.  A renamed export or a removed parameter fails here.
+callable's signature.  A renamed export or a removed parameter fails here,
+and so does a README flag that no ``firmglass`` subcommand takes.
 """
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
+
+from firmglass import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,3 +91,18 @@ def test_code_uses_only_the_current_api(name):
             inspect.signature(target).bind_partial(*node.args, **keywords)
         except TypeError as exc:
             pytest.fail(f"{name}:{node.lineno}: {ast.unparse(node.func)}: {exc}")
+
+
+def test_readme_names_only_current_cli_flags():
+    parser = cli.build_parser()
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action.choices, dict)]
+    options = {flag for command in commands.values()
+               for flag in command._option_string_actions}
+    # pip's own flags are not the package's
+    named = {flag
+             for line in (ROOT / "README.md").read_text().splitlines()
+             if not line.lstrip().startswith("pip ")
+             for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
+    assert "--threads" in named
+    assert named <= options, f"README names flags no subcommand takes: {sorted(named - options)}"

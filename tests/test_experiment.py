@@ -23,6 +23,7 @@ from firmglass.experiment import (
     run_ensemble,
     run_sweep,
 )
+from firmglass.riskstats import ensemble_stats
 
 DESK = ModelParams(n_firms=60, j0=0.001, sigma_j=0.02)
 
@@ -150,16 +151,43 @@ def test_json_round_trip():
     assert result_to_json(restored) == text
 
 
-def test_from_dict_refuses_a_sweep_of_another_variable_or_wider_bins():
-    text = result_to_json(run_sweep(desk_spec(k=2)))
-    other_variable = json.loads(text)
-    other_variable["sweep_variable"] = "sigma_j"
-    with pytest.raises(ValueError, match="sweep_variable"):
-        result_from_dict(other_variable)
-    wider_bins = json.loads(text)
-    wider_bins["points"][-1]["bin_width"] = 2
-    with pytest.raises(ValueError, match="bin_width"):
-        result_from_dict(wider_bins)
+def keep_two_realizations(doc):
+    """Cut the first point to 2 ND values and rewrite every field they derive."""
+    first = doc["points"][0]
+    stats = ensemble_stats(first["nd_values"][:2])
+    first.update(
+        nd_values=stats.nd_values,
+        mean_nd=stats.mean_nd,
+        mean_nd_frac=stats.mean_nd / doc["base_params"]["n_firms"],
+        semivariance_plus=stats.semivariance_plus,
+        histogram={str(b): c for b, c in stats.histogram.items()},
+    )
+    argmin = int(np.argmin([point["mean_nd"] for point in doc["points"]]))
+    doc.update(argmin_index=argmin,
+               argmin_sweep_value=doc["points"][argmin]["sweep_value"])
+
+
+def test_from_dict_refuses_a_document_its_spec_and_nd_values_do_not_give():
+    text = result_to_json(run_sweep(desk_spec(values=(0.0, 0.002, 0.004), k=3)))
+    for edit, field in (
+        (lambda doc: doc.update(sweep_variable="sigma_j"), r"\bsweep_variable\b"),
+        (lambda doc: doc["points"][1].update(bin_width=2), r"points\[1\]\.bin_width"),
+        # a mean and a histogram that the ND values do not give
+        (lambda doc: doc["points"][0].update(nd_values=[4, 4, 7], mean_nd=999.0,
+                                             histogram={"5": 100}),
+         r"points\[0\]\.mean_nd\b.*points\[0\]\.histogram"),
+        (lambda doc: doc["base_params"].update(selection="permutation"), r"\bbase_params\b"),
+        (lambda doc: doc.update(argmin_index=(doc["argmin_index"] + 1) % 3),
+         r"\bargmin_index\b"),
+        (lambda doc: doc["points"][0]["nd_values"].__setitem__(0, 1.5), r"\bnd_values\b"),
+        (lambda doc: doc["points"][1].update(sweep_value=0.5), r"points\[1\]\.sweep_value"),
+        (lambda doc: doc["points"].reverse(), r"points\[1\]\.sweep_value"),
+        (keep_two_realizations, r"points\[0\]\.nd_values"),
+    ):
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(ValueError, match=field):
+            result_from_dict(doc)
 
 
 def test_malformed_document_is_refused_with_value_error():
@@ -169,7 +197,7 @@ def test_malformed_document_is_refused_with_value_error():
     list_histogram = json.loads(text)
     list_histogram["points"][0]["histogram"] = [1, 2]
     scalar_points = {**json.loads(text), "points": 3}
-    for bad, problem in (("{}", "lacks the key 'sweep_variable'"),
+    for bad, problem in (("{}", "lacks the key 'base_params'"),
                          ("[]", "wrong shape"),
                          ("3", "wrong shape"),
                          (json.dumps(no_mean), "lacks the key 'mean_nd'"),
@@ -351,7 +379,6 @@ def test_parent_error_cancels_the_queued_values(monkeypatch, tmp_path):
 def test_empty_result_emits_header_only(capsys):
     result = run_sweep(desk_spec(k=3))
     result.points = []
-    result.argmin_index = None
     assert result_to_csv(result) == ",".join(CSV_COLUMNS) + "\n"
     assert result.argmin_sweep_value is None
 

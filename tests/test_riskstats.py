@@ -82,3 +82,17 @@ def test_ensemble_stats_bundle():
     single = ensemble_stats([7])
     assert single.mean_nd == 7.0
     assert single.semivariance_plus is None
+
+
+def test_counts_that_are_not_integers_at_least_zero_are_refused():
+    for bad in ([1.7, 2.9, -0.5], [1.5, 2.5], [3, -1], [True, 2], [np.float64(2.0)]):
+        with pytest.raises(ValueError, match="nd_values"):
+            histogram(bad)
+        with pytest.raises(ValueError, match="nd_values"):
+            ensemble_stats(bad)
+    stats = ensemble_stats(np.array([3, 3, 5], dtype=np.int64))
+    assert stats.nd_values == [3, 3, 5]
+    assert all(type(value) is int for value in stats.nd_values)
+    assert histogram(np.array([0, 0], dtype=np.int32)) == {0: 2}
+    assert histogram(v for v in (4, 4, 7)) == {4: 2, 7: 1}
+    assert ensemble_stats(v for v in (4, 4, 7)).nd_values == [4, 4, 7]
