@@ -20,7 +20,11 @@ constants:
 :func:`mean_field_fixed_points` finds every fixed point from one scalar
 root equation, bracketed at its own extrema, with no start points, no
 iteration budget and no scan grid; its docstring gives the method and the
-output order.
+output order.  A point's stability follows from the kind of root it comes
+from alone: the symmetric point is stable iff beta < 3, the ordered points
+always, the saddles never.  A stable point is a local minimum of the free
+energy (Wu, Rev. Mod. Phys. 54, 235 (1982)); the docstring proves the rule,
+so no Jacobian is built and no float rounding can flip a flag.
 
 The exponent scale ``beta`` is the *effective* coupling.  With couplings of
 mean j0 shared by all N firms, a move adopted by a fraction x of the
@@ -28,12 +32,7 @@ population contributes j0 * N * x to the exponent, so beta = j0 * n_firms
 and the instability sits at the critical mean coupling 3 / N.
 
 The map applies the simulation's heat-bath softmax
-(:func:`core.heat_bath_weights`) to the occupied fractions.  Stability comes
-from the map's exact 2x2 Jacobian (:func:`mean_field_jacobian`), which needs
-no evaluation off the simplex, so fixed points at the ordered corners are
-classified for any beta >= 0.  A point is stable when the Jacobian's
-spectral radius is < 1; the radius is the closed form of a 2x2 matrix's
-eigenvalues, evaluated in Python floats, with no eigenvalue solver.
+(:func:`core.heat_bath_weights`) to the occupied fractions.
 
 Two independent routes predict the default fraction reached from uniformly
 distributed starting ratings:
@@ -126,7 +125,7 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
     fraction is 1 - p_up - q_down.  The weights come from
     :func:`heat_bath_weights`, whose max shift makes any beta >= 0 safe.
     A pair off the simplex (NaN included) or a beta that is not finite and
-    >= 0 is refused, here and in :func:`mean_field_jacobian`.
+    >= 0 is refused.
     """
     _require_simplex(p_up, q_down)
     _require_beta(beta)
@@ -135,55 +134,6 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
     )
     z = ea + eb + ec
     return ea / z, eb / z
-
-
-def mean_field_jacobian(p_up: float, q_down: float, beta: float) -> np.ndarray:
-    """Exact 2x2 Jacobian of the map at (p_up, q_down).
-
-    With (u, d) the map's value and s = 1 - u - d, the softmax derivatives
-    through the exponents beta * p_up, beta * q_down and
-    beta * (1 - p_up - q_down) give
-    beta * [[u (1 - u + s), -u (d - s)], [-d (u - s), d (1 - d + s)]].
-    """
-    a11, a12, a21, a22 = _jacobian_entries(p_up, q_down, beta)
-    return np.array([[a11, a12], [a21, a22]])
-
-
-def _jacobian_entries(
-    p_up: float, q_down: float, beta: float
-) -> tuple[float, float, float, float]:
-    """The Jacobian's entries (a11, a12, a21, a22), row-major, as scalars."""
-    u, d = mean_field_map(p_up, q_down, beta)
-    s = 1.0 - u - d
-    return (
-        beta * (u * (1.0 - u + s)),
-        beta * (-u * (d - s)),
-        beta * (-d * (u - s)),
-        beta * (d * (1.0 - d + s)),
-    )
-
-
-def _spectral_radius(a11: float, a12: float, a21: float, a22: float) -> float:
-    """Spectral radius of [[a11, a12], [a21, a22]] in closed form.
-
-    The eigenvalues are half +- sqrt(disc), with half the mean of the
-    diagonal, gap half its difference and disc = gap**2 + a12 * a21.  disc
-    is not formed as tr**2 / 4 - det: near beta = 3 that difference cancels
-    and calls the saddle stable at 3 - 1e-9.  The entries are first scaled by
-    a power of two near the largest, which is exact; without it the products
-    of an ordered point's tiny entries underflow once beta > ~365.
-    """
-    _, exponent = math.frexp(max(abs(a11), abs(a12), abs(a21), abs(a22)))
-    a11 = math.ldexp(a11, -exponent)
-    a12 = math.ldexp(a12, -exponent)
-    a21 = math.ldexp(a21, -exponent)
-    a22 = math.ldexp(a22, -exponent)
-    half = 0.5 * (a11 + a22)
-    gap = 0.5 * (a11 - a22)
-    disc = gap * gap + a12 * a21
-    if disc >= 0.0:
-        return math.ldexp(abs(half) + math.sqrt(disc), exponent)
-    return math.ldexp(math.sqrt(half * half - disc), exponent)
 
 
 def _g(a: float, beta: float) -> float:
@@ -267,36 +217,41 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     a != 1/3 in increasing order, (a, a) (stay is the odd move),
     (1 - 2a, a) (up) and (a, 1 - 2a) (down).  That gives 1 point below the
     spinodal beta_s ~ 2.7456, 7 above it (at beta = 3 exactly, where 1/3 is
-    a double root, 4).  A point is stable when the spectral radius of the
-    exact Jacobian (:func:`mean_field_jacobian`) is < 1.  The radius comes
-    from the Jacobian's entries in closed form (:func:`_spectral_radius`),
-    not from an eigenvalue solver, so ``stable`` is a Python bool for a
-    numpy-scalar beta too.  A beta that is not finite and >= 0 is refused.
+    a double root, 4).  A beta that is not finite and >= 0 is refused.
+
+    Stability comes from the kind of root alone: the symmetric point is
+    stable iff beta < 3, the ordered root's three points (the smaller root)
+    always, the saddle root's never.  Proof: on the move fractions x the
+    map's Jacobian is J = beta * (D - x x^T) with D = diag(x), and on the
+    plane sum(v) = 0 it holds that (D - x x^T) D^-1 v = v.  So the spectral
+    radius is < 1 iff v^T D^-1 v > beta * |v|^2 there, i.e. iff the Hessian
+    of the free energy -(beta / 2) sum x^2 + sum x ln x is positive definite
+    on the plane.  At (a, a, 1 - 2a) the directions (1, -1, 0) and
+    (1, 1, -2) diagonalize that form; their values give 1 / a > beta and
+    g'(a) = 1 / a - 3 beta (1 - 2a) > 0.  The symmetric point (g'(1/3) =
+    3 - beta) meets both iff beta < 3.  The ordered root meets both, as
+    a < 2 / (3 beta) and g rises through it; the saddle fails the second
+    below 3 (g falls through it) and the first above 3 (a > 1/3).
     """
     _require_beta(beta)
     scalar = float(beta)  # numpy scalars bisect slowly and make numpy bools
     third = 1.0 / 3.0
-    pairs = [(third, third)]
-    for a in _roots_off_third(scalar):
+    points = [MeanFieldPoint(p_up=third, q_down=third, beta=beta, stable=scalar < 3.0)]
+    for a, stable in zip(_roots_off_third(scalar), (True, False)):
         b = 1.0 - 2.0 * a
-        pairs += [(a, a), (b, a), (a, b)]
-    return [
-        MeanFieldPoint(
-            p_up=p,
-            q_down=q,
-            beta=beta,
-            stable=_spectral_radius(*_jacobian_entries(p, q, scalar)) < 1.0,
-        )
-        for p, q in pairs
-    ]
+        points += [MeanFieldPoint(p_up=p, q_down=q, beta=beta, stable=stable)
+                   for p, q in ((a, a), (b, a), (a, b))]
+    return points
 
 
 def critical_beta() -> float:
     """The beta where the symmetric point loses stability: exactly 3.
 
-    At (1/3, 1/3) the map returns u = d = s = 1/3, so the exact Jacobian
-    (:func:`mean_field_jacobian`) is (beta / 3) * I; its spectral radius
-    beta / 3 crosses 1 at beta = 3, i.e. at j_critical = 3 / n_firms.
+    At (1/3, 1/3) the map's Jacobian is (beta / 3) * I, so its spectral
+    radius beta / 3 crosses 1 at beta = 3, i.e. at j_critical = 3 / n_firms.
+    Below 3 the symmetric point is a minimum of the free energy and above
+    it a maximum; :func:`mean_field_fixed_points` sets its ``stable`` flag
+    by that comparison alone.
     """
     return 3.0
 

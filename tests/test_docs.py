@@ -4,7 +4,9 @@ The demos take seconds to minutes each, so nothing here runs them: each
 script is parsed with ``ast`` and every name it takes from ``firmglass`` is
 looked up, and every call to a ``firmglass`` callable is bound against the
 callable's signature.  A renamed export or a removed parameter fails here,
-and so does a README flag that no ``firmglass`` subcommand takes.
+and so does a README flag that no ``firmglass`` subcommand takes, a README
+name such as ``meanfield.mean_field_map`` that its module lacks, and a
+namespace list in the README that is not ``firmglass.__all__``.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import firmglass
 from firmglass import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,3 +109,16 @@ def test_readme_names_only_current_cli_flags():
              for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
     assert "--threads" in named
     assert named <= options, f"README names flags no subcommand takes: {sorted(named - options)}"
+
+
+def test_readme_lists_the_namespace_and_names_only_what_exists():
+    readme = (ROOT / "README.md").read_text()
+    after = readme.split("The top-level `firmglass` namespace holds", 1)[1]
+    listing = after.split("\n\n")[1]
+    assert listing.startswith("* ")
+    assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(firmglass.__all__)
+    qualified = re.findall(r"`(core|experiment|meanfield|riskstats|cli)\.(\w+)`", readme)
+    assert ("core", "advance") in qualified
+    missing = [f"{module}.{name}" for module, name in qualified
+               if not hasattr(importlib.import_module(f"firmglass.{module}"), name)]
+    assert not missing, f"README names what the package lacks: {missing}"
