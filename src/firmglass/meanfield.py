@@ -139,14 +139,19 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
 def _g(a: float, beta: float) -> float:
     """g(a) = a * (2 + exp(beta * (1 - 3a))) - 1, the fixed-point equation.
 
-    The exponent is capped below float overflow; the cap can change the sign
-    of g only where a * exp(709) < 2, i.e. for a < 2.5e-308, so it moves a
-    root (near exp(-beta) once beta > 709) by less than that.
+    It is evaluated as 3x + a * expm1(-3 * beta * x) with x = a - 1/3.  Near
+    beta = 3, g between the saddle root and 1/3 is smaller than the rounding
+    of the form above; this one keeps its digits there.  x is exact for a
+    in [1/6, 2/3] (Sterbenz), and g(1/3) is exactly 0.0.  The exponent is
+    capped below float overflow; the cap can change the sign of g only where
+    a * exp(709) < 2, i.e. for a < 2.5e-308, so it moves a root (near
+    exp(-beta) once beta > 709) by less than that.
     """
-    exponent = beta * (1.0 - 3.0 * a)
+    x = a - 1.0 / 3.0
+    exponent = -3.0 * beta * x
     if exponent > _EXP_CAP:  # a conditional, as builtin min costs more than exp
         exponent = _EXP_CAP
-    return a * (2.0 + math.exp(exponent)) - 1.0
+    return 3.0 * x + a * math.expm1(exponent)
 
 
 def _g_slope(a: float, beta: float) -> float:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import time
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -265,6 +266,40 @@ def test_fixed_point_count_across_the_phase_diagram(beta, count, stable):
     assert len(points) == count
     assert sum(point.stable for point in points) == stable
     assert (points[0].p_up, points[0].q_down) == (1 / 3, 1 / 3)
+
+
+def exact_saddle_root(beta):
+    """The saddle root of g, bisected in 60-digit decimals.
+
+    Near 1/3, g(1/3 + x) ~ (3 - beta) x + 4.5 x^2, so the saddle sits near
+    x = (beta - 3) / 4.5; the bracket [0.1, 0.5] * (beta - 3) holds it alone.
+    """
+    with localcontext() as context:
+        context.prec = 60
+        exact_beta = Decimal(beta)
+
+        def g(a):
+            return a * (2 + (exact_beta * (1 - 3 * a)).exp()) - 1
+
+        third, gap = Decimal(1) / 3, exact_beta - 3
+        lo, hi = third + gap / 10, third + gap / 2
+        assert g(lo) * g(hi) < 0
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (g(mid) < 0) == (g(lo) < 0):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@pytest.mark.parametrize("beta", [3.0 - 1e-6, 3.0 - 1e-9, 3.0 + 1e-9, 3.0 + 1e-6])
+def test_saddle_root_keeps_its_digits_near_beta_3(beta):
+    # g is nearly flat between the saddle and 1/3 there: a value of g with
+    # the rounding of a * (2 + exp(...)) - 1 puts the root off by up to 3e-9
+    saddle = mean_field_fixed_points(beta)[4]
+    assert saddle.p_up == saddle.q_down and not saddle.stable
+    assert abs(Decimal(saddle.p_up) - exact_saddle_root(beta)) <= Decimal("1e-15")
 
 
 def free_energy(p_up, q_down, beta):
@@ -658,9 +693,11 @@ def test_block_chain_and_closed_form_are_bit_identical_to_the_scalar_loop(steps)
 # sha256 of `firmglass meanfield --beta-max 40 --beta-points 81`, recorded
 # once every point of the damped iteration the root solver replaced was shown
 # to be among its points (test_solver_reports_every_point_of_the_damped_iteration)
+# and the saddle roots near beta = 3 were shown to match a 60-digit bisection
+# (test_saddle_root_keeps_its_digits_near_beta_3)
 MEANFIELD_SCAN_DIGESTS = {
-    "json": "dade67a1fd97f6a6d7f0d566184c63b022f0d8281d6ede1810335efaf06b756f",
-    "csv": "52d487e63528c49b38d29fd410d839ab171cb173f0412704f93f33d3c8c43564",
+    "json": "d1c20741ddd6a6a778cb327d3d809001c198f7ac7545f30d2bbf411ce67e5c2a",
+    "csv": "b1aedd75a61ec59d8d0d4b7b39a2f95ec9617f9072a8901e6942ff46c8fd0051",
 }
 
 
@@ -676,7 +713,7 @@ def test_meanfield_scan_output_oracle(output_format, capsys):
 
 # sha256 of `firmglass meanfield --beta-max 40 --beta-points 4001 --format csv`
 # (26 354 fixed points on the 0.01 grid), recorded as the digests above
-DENSE_SCAN_CSV_DIGEST = "7a5008b33a872d67e1bd26ce16980594d4bf5420eada66d951a1e1488ea37b05"
+DENSE_SCAN_CSV_DIGEST = "c7f737d9c76277f59a5fd09e030d8e67c7e936bb21bbd0eb4e6d54e6429e93dd"
 
 
 def test_dense_meanfield_scan_output_oracle(capsys):
