@@ -82,7 +82,8 @@ class SweepResult:
     """Per-value statistics and phase predictions plus run metadata.
 
     The points follow ``spec.values`` in order, one per value that did not
-    fail, each with ``spec.k_realizations`` ND values (else ``ValueError``).
+    fail, each with ``spec.k_realizations`` ND values of at most
+    ``spec.base.n_firms`` (else ``ValueError``).
     ``metadata`` carries the package version, wall time and any values that
     failed on resource exhaustion; everything needed to reproduce the run
     bit-identically lives in ``spec``.
@@ -101,6 +102,8 @@ class SweepResult:
                 raise ValueError(f"points[{index}].sweep_value is not a later value of the spec")
             if len(point.stats.nd_values) != self.spec.k_realizations:
                 raise ValueError(f"points[{index}].nd_values must hold k_realizations values")
+            if max(point.stats.nd_values) > self.spec.base.n_firms:
+                raise ValueError(f"points[{index}].nd_values must be at most n_firms")
 
     @property
     def argmin_index(self) -> int | None:
@@ -380,9 +383,11 @@ def _result_from_dict(doc: dict) -> SweepResult:
 
 
 def _differences(written: object, doc: object, path: str = "") -> list[str]:
-    """Where ``doc`` departs from ``written``, each place named by its path."""
-    if doc == written:
-        return []
+    """Where ``doc`` departs from ``written``, each place named by its path.
+
+    A leaf differs when its value or its type does: ``true`` or ``1.0``
+    where ``1`` is written would load, then be written back as ``1``.
+    """
     if isinstance(written, list):
         # a list rebuilt from the document has its length
         places = [(f"{path}[{index}]", item, doc[index]) for index, item in enumerate(written)]
@@ -393,6 +398,8 @@ def _differences(written: object, doc: object, path: str = "") -> list[str]:
         found = [f"{path or 'the document'} lacks the key {key!r}"
                  for key in written if key not in doc]
         found += [prefix + key for key in doc if key not in written]
+    elif type(doc) is type(written) and doc == written:
+        return []
     else:
         return [f"{path} has the wrong shape" if isinstance(written, dict) else path]
     for where, item, entry in places:

@@ -73,11 +73,14 @@ _SIMPLEX_TOL = 1e-9
 _BLOCK_FLOATS = 1 << 15  # 256 KiB of matrix stack per block: 512 pairs at R_MAX
 
 _EXP_CAP = 709.0  # exp() of a larger exponent overflows a float
+# above ~2.74e307 the capped g stays negative at its maximum, and the
+# ordered and saddle roots would be lost
+_BETA_MAX = 1e300
 
 
 def _require_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    if not 0 <= beta <= _BETA_MAX:  # NaN fails the comparison
+        raise ValueError(f"beta must be in [0, {_BETA_MAX:g}], got {beta}")
 
 
 def _require_simplex(prob_up: float, prob_down: float) -> None:
@@ -124,8 +127,8 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
     under exponents beta * (occupied fraction of each move); the stay
     fraction is 1 - p_up - q_down.  The weights come from
     :func:`heat_bath_weights`, whose max shift makes any beta >= 0 safe.
-    A pair off the simplex (NaN included) or a beta that is not finite and
-    >= 0 is refused.
+    A pair off the simplex (NaN included) or a beta outside [0, 1e300]
+    (NaN included) is refused.
     """
     _require_simplex(p_up, q_down)
     _require_beta(beta)
@@ -222,7 +225,7 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     a != 1/3 in increasing order, (a, a) (stay is the odd move),
     (1 - 2a, a) (up) and (a, 1 - 2a) (down).  That gives 1 point below the
     spinodal beta_s ~ 2.7456, 7 above it (at beta = 3 exactly, where 1/3 is
-    a double root, 4).  A beta that is not finite and >= 0 is refused.
+    a double root, 4).  A beta outside [0, 1e300] (NaN included) is refused.
 
     Stability comes from the kind of root alone: the symmetric point is
     stable iff beta < 3, the ordered root's three points (the smaller root)

@@ -194,13 +194,15 @@ def test_meanfield_refuses_a_short_or_empty_beta_range(capsys):
 
 
 def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
-    for argv in (["--beta-max", "nan", "--beta-points", "2"],
-                 ["--beta-min=-inf"]):
+    for argv, problem in ((["--beta-max", "nan", "--beta-points", "2"], "must be finite"),
+                          (["--beta-min=-inf"], "must be finite"),
+                          # finite, but beyond what the root equation resolves
+                          (["--beta-max", "1e308"], "beta must be in [0, 1e+300]")):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "meanfield", *argv)
         assert time.perf_counter() - started < 1.0
         assert code == 1, argv
-        assert "configuration error" in err and "must be finite" in err
+        assert "configuration error" in err and problem in err
         assert out == ""
 
 

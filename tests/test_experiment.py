@@ -13,6 +13,7 @@ import pytest
 from firmglass.core import ModelParams, f_table_from_weights, run_realization
 from firmglass.experiment import (
     CSV_COLUMNS,
+    PRESET_NAMES,
     SweepSpec,
     emit,
     preset_spec,
@@ -144,17 +145,20 @@ def test_sweep_records_argmin_and_phases():
 
 
 def test_json_round_trip():
-    result = run_sweep(desk_spec(k=4))
-    text = result_to_json(result)
-    restored = result_from_json(text)
-    assert restored == result
-    assert result_to_json(restored) == text
+    specs = [desk_spec(k=4)]
+    specs += [preset_spec(name, n_firms=20, k_realizations=2) for name in PRESET_NAMES]
+    for spec in specs:
+        result = run_sweep(spec)
+        text = result_to_json(result)
+        restored = result_from_json(text)
+        assert restored == result
+        assert result_to_json(restored) == text
 
 
-def keep_two_realizations(doc):
-    """Cut the first point to 2 ND values and rewrite every field they derive."""
+def rewrite_first_point(doc, nd_values):
+    """Give the first point these ND values and rewrite every field they derive."""
     first = doc["points"][0]
-    stats = ensemble_stats(first["nd_values"][:2])
+    stats = ensemble_stats(nd_values)
     first.update(
         nd_values=stats.nd_values,
         mean_nd=stats.mean_nd,
@@ -182,7 +186,14 @@ def test_from_dict_refuses_a_document_its_spec_and_nd_values_do_not_give():
         (lambda doc: doc["points"][0]["nd_values"].__setitem__(0, 1.5), r"\bnd_values\b"),
         (lambda doc: doc["points"][1].update(sweep_value=0.5), r"points\[1\]\.sweep_value"),
         (lambda doc: doc["points"].reverse(), r"points\[1\]\.sweep_value"),
-        (keep_two_realizations, r"points\[0\]\.nd_values"),
+        (lambda doc: rewrite_first_point(doc, doc["points"][0]["nd_values"][:2]),
+         r"points\[0\]\.nd_values"),
+        # more defaults than firms
+        (lambda doc: rewrite_first_point(doc, [999, *doc["points"][0]["nd_values"][1:]]),
+         r"points\[0\]\.nd_values"),
+        # equal to the 1 written, but of another JSON type
+        (lambda doc: doc["points"][1].update(bin_width=True), r"points\[1\]\.bin_width"),
+        (lambda doc: doc["points"][1].update(bin_width=1.0), r"points\[1\]\.bin_width"),
     ):
         doc = json.loads(text)
         edit(doc)

@@ -66,7 +66,8 @@ def test_fixed_points_zero_coupling():
     assert only.stable
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+# above ~2.74e307 the float root equation would lose 6 of the 7 points
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 1e301, 1e308])
 def test_fixed_points_refuse_a_beta_that_is_not_finite_and_non_negative(beta):
     started = time.perf_counter()
     with pytest.raises(ValueError, match="beta"):
@@ -156,9 +157,10 @@ def test_exact_jacobian_matches_central_differences(beta):
         ((0.2, 0.2), math.nan, "beta"),
         ((0.2, 0.2), math.inf, "beta"),
         ((0.2, 0.2), -1.0, "beta"),
+        ((0.2, 0.2), 1e301, "beta"),
     ],
     ids=["nan-p", "nan-q", "negative-p", "off-simplex", "nan-beta", "inf-beta",
-         "negative-beta"],
+         "negative-beta", "huge-beta"],
 )
 def test_map_and_jacobian_refuse_bad_input(point, beta, match):
     with pytest.raises(ValueError, match=match):
@@ -232,7 +234,7 @@ def test_fixed_points_hold_floats():
 def test_meanfield_point_validation():
     with pytest.raises(ValueError):
         MeanFieldPoint(p_up=0.8, q_down=0.3, beta=1.0, stable=True)
-    for beta in (-1.0, math.nan, math.inf):
+    for beta in (-1.0, math.nan, math.inf, 1e301):
         with pytest.raises(ValueError, match="beta"):
             MeanFieldPoint(p_up=0.2, q_down=0.2, beta=beta, stable=True)
 
