@@ -50,31 +50,9 @@ from .meanfield import (
 )
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=1000, help="number of firms")
-    parser.add_argument("--steps", type=int, default=STEPS, help="time steps")
-    parser.add_argument("--rmax", type=int, default=R_MAX, help="top rating class")
-    parser.add_argument("--sigma-j", type=float, default=0.001,
-                        help="coupling standard deviation")
-    parser.add_argument("--f-mode", choices=("zero", "constant_table"),
-                        default="zero", help="drift term: off, or a constant per-move table")
-    # None marks a weight not given; --f-mode zero refuses any that is
-    parser.add_argument("--f-down", type=float, default=None,
-                        help="exp(f) weight of a down move (constant_table mode only)")
-    parser.add_argument("--f-stay", type=float, default=None,
-                        help="exp(f) weight of staying (constant_table mode only)")
-    parser.add_argument("--f-up", type=float, default=None,
-                        help="exp(f) weight of an up move (constant_table mode only)")
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output file (stdout when absent)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format")
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser: flags that several subcommands share, declared once."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,48 +62,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one ensemble at a fixed parameter point")
-    _add_model_flags(p_run)
-    _add_run_flags(p_run)
+    output = _flags()
+    output.add_argument("--out", type=str, default=None,
+                        help="output file (stdout when absent)")
+    fmt = _flags()
+    fmt.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="output format")
+    portfolio = _flags()
+    portfolio.add_argument("--steps", type=int, default=STEPS, help="time steps")
+    portfolio.add_argument("--rmax", type=int, default=R_MAX, help="top rating class")
+    ensemble = _flags()
+    ensemble.add_argument("--n", type=int, default=1000, help="number of firms")
+    ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
+    ensemble.add_argument("--threads", type=int, default=1, help="parallel workers")
+    drift = _flags()
+    drift.add_argument("--f-mode", choices=("zero", "constant_table"),
+                       default="zero", help="drift term: off, or a constant per-move table")
+    # None marks a weight not given; --f-mode zero refuses any that is
+    drift.add_argument("--f-down", type=float, default=None,
+                       help="exp(f) weight of a down move (constant_table mode only)")
+    drift.add_argument("--f-stay", type=float, default=None,
+                       help="exp(f) weight of staying (constant_table mode only)")
+    drift.add_argument("--f-up", type=float, default=None,
+                       help="exp(f) weight of an up move (constant_table mode only)")
+    # run and sweep set the model; reproduce takes it from the preset
+    model = _flags(ensemble, portfolio, drift, output, fmt)
+    model.add_argument("--sigma-j", type=float, default=0.001,
+                       help="coupling standard deviation")
+    model.add_argument("--seed", type=int, default=0, help="master seed")
+
+    p_run = sub.add_parser("run", parents=[model],
+                           help="one ensemble at a fixed parameter point")
     p_run.add_argument("--j0", type=float, default=0.0, help="mean coupling")
 
-    p_sweep = sub.add_parser("sweep", help="ensembles across a range of j0")
-    _add_model_flags(p_sweep)
-    _add_run_flags(p_sweep)
+    p_sweep = sub.add_parser("sweep", parents=[model], help="ensembles across a range of j0")
     p_sweep.add_argument("--j0-min", type=float, required=True)
     p_sweep.add_argument("--j0-max", type=float, required=True)
     p_sweep.add_argument("--j0-points", type=int, default=11)
 
-    p_mf = sub.add_parser("meanfield",
+    p_mf = sub.add_parser("meanfield", parents=[portfolio, output, fmt],
                           help="fixed points and predicted default levels over a beta range")
     p_mf.add_argument("--beta-min", type=float, default=0.0)
     p_mf.add_argument("--beta-max", type=float, default=6.0)
     p_mf.add_argument("--beta-points", type=int, default=13)
-    p_mf.add_argument("--steps", type=int, default=STEPS)
-    p_mf.add_argument("--rmax", type=int, default=R_MAX)
-    p_mf.add_argument("--out", type=str, default=None)
-    p_mf.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_or = sub.add_parser("oracle",
+    p_or = sub.add_parser("oracle", parents=[portfolio, output],
                           help="exact chain and closed-form default fractions")
     p_or.add_argument("--p", type=float, default=None, help="per-move up probability")
     p_or.add_argument("--q", type=float, default=None, help="per-move down probability")
-    p_or.add_argument("--steps", type=int, default=STEPS)
-    p_or.add_argument("--rmax", type=int, default=R_MAX)
     p_or.add_argument("--grid", action="store_true",
                       help="emit the chain-vs-closed-form deviation grid as CSV")
     p_or.add_argument("--grid-step", type=float, default=0.1)
-    p_or.add_argument("--out", type=str, default=None)
 
-    p_rep = sub.add_parser("reproduce", help="run a published study preset")
+    p_rep = sub.add_parser("reproduce", parents=[ensemble, output, fmt],
+                           help="run a published study preset")
     p_rep.add_argument("preset", choices=PRESET_NAMES)
-    p_rep.add_argument("--n", type=int, default=1000)
-    p_rep.add_argument("--k", type=int, default=1000)
     p_rep.add_argument("--seed", type=int, default=None,
                        help="override the preset master seed")
-    p_rep.add_argument("--threads", type=int, default=1)
-    p_rep.add_argument("--out", type=str, default=None)
-    p_rep.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 

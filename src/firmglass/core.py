@@ -56,16 +56,27 @@ R_MAX = 7
 RATING_DRIFT_WEIGHTS = (0.15, 0.75, 0.10)
 
 
-def require_integer(name: str, value: object, minimum: int) -> None:
-    """Refuse a count or seed that is not an integer >= ``minimum``.
+def require_integer(name: str, value: object, minimum: int) -> int:
+    """Refuse a count or seed that is not an integer >= ``minimum``; return it as ``int``.
 
     numpy integers pass; ``bool`` does not, although it is ``Integral``, so
     ``True`` is never taken for 1.
     """
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if type(value) is not int:  # a plain int skips the slow ABC check
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def seed_sequence(name: str, seed: object) -> np.random.SeedSequence:
+    """The ``SeedSequence`` of an int >= 0 or a ``SeedSequence``; anything else
+    (``None`` and a ``Generator`` would differ per call) raises ``ValueError``."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(require_integer(name, seed, 0))
 
 
 def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> dict[int, float]:
@@ -143,9 +154,8 @@ class ModelParams:
     f_table: Mapping[int, float] = field(default_factory=zero_f_table)
 
     def __post_init__(self) -> None:
-        require_integer("n_firms", self.n_firms, 1)
-        require_integer("r_max", self.r_max, 1)
-        require_integer("steps", self.steps, 1)
+        for name in ("n_firms", "r_max", "steps"):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), 1))
         if not (math.isfinite(self.j0) and math.isfinite(self.sigma_j)):
             raise ValueError(
                 f"j0 and sigma_j must be finite, got j0={self.j0}, sigma_j={self.sigma_j}"
@@ -374,9 +384,11 @@ def run_realization(
     steps and counts defaulted firms.  Deterministic: the generator is
     consumed in a fixed order (couplings, ratings, moves, then per step:
     firm order, then one uniform per micro-update), so the same
-    (params, seed) pair always yields the same outcome.
+    (params, seed) pair always yields the same outcome.  The seed must be an
+    int >= 0 or a ``SeedSequence`` (:func:`seed_sequence`), else
+    ``ValueError``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence("seed", seed))
     couplings = sample_coupling_matrix(params, rng)
     state = initial_state(params, couplings, rng)
     trajectory: list[int] | None = [] if record_trajectory else None

@@ -31,6 +31,8 @@ from .core import (
     f_table_from_weights,
     require_integer,
     run_realization,
+    seed_sequence,
+    zero_f_table,
 )
 from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
@@ -56,8 +58,8 @@ class SweepSpec:
             raise ValueError(f"values must be finite, got {self.values}")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"values must be strictly increasing, got {self.values}")
-        require_integer("k_realizations", self.k_realizations, 1)
-        require_integer("master_seed", self.master_seed, 0)
+        for name, minimum in (("k_realizations", 1), ("master_seed", 0)):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
 
     @property
     def f_mode(self) -> str:
@@ -130,8 +132,13 @@ def _chunk_nd(tasks: list[tuple[ModelParams, np.random.SeedSequence]]) -> list[i
 def _realization_tasks(
     params: ModelParams, seed: np.random.SeedSequence, k_realizations: int
 ) -> list[tuple[ModelParams, np.random.SeedSequence]]:
-    """Realization k of the ensemble is seeded with child k of ``seed``."""
-    return [(params, child) for child in seed.spawn(k_realizations)]
+    """Realization k of the ensemble is seeded with child k of ``seed``, the
+    child ``spawn`` gives a fresh sequence; ``seed`` itself is not advanced."""
+    return [
+        (params, np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k),
+                                        pool_size=seed.pool_size))
+        for k in range(k_realizations)
+    ]
 
 
 def _submit_chunks(
@@ -210,17 +217,13 @@ def run_ensemble(
     aggregates) does not depend on ``threads``.  This is the one-value case
     of the scheduler :func:`run_sweep` uses.  The histogram counts each
     default count on its own.
-    ``k_realizations`` and ``threads`` must be integers >= 1 and an integer
-    ``master_seed`` must be >= 0; anything else raises ``ValueError``
-    before any work.
+    ``k_realizations`` and ``threads`` must be integers >= 1 and
+    ``master_seed`` an integer >= 0 or a ``SeedSequence``, which is not
+    advanced; anything else raises ``ValueError`` before any work.
     """
     require_integer("k_realizations", k_realizations, 1)
     require_integer("threads", threads, 1)
-    if isinstance(master_seed, np.random.SeedSequence):
-        root = master_seed
-    else:
-        require_integer("master_seed", master_seed, 0)
-        root = np.random.SeedSequence(master_seed)
+    root = seed_sequence("master_seed", master_seed)
     tasks = _realization_tasks(params, root, k_realizations)
     [(_, outcome)] = _value_outcomes([tasks], threads)
     if isinstance(outcome, Exception):
@@ -249,8 +252,7 @@ def run_sweep(
     """
     require_integer("threads", threads, 1)
     started = time.perf_counter()
-    root = np.random.SeedSequence(spec.master_seed)
-    value_seeds = root.spawn(len(spec.values))
+    value_seeds = np.random.SeedSequence(spec.master_seed).spawn(len(spec.values))
     task_lists = [
         _realization_tasks(spec.params_at(value), seed, spec.k_realizations)
         for value, seed in zip(spec.values, value_seeds)
@@ -482,14 +484,24 @@ def write_payload(chunks: Iterable[str], path: str | Path | None) -> None:
 
 _DEFAULT_PRESET_SEED = 20_260_809
 
+# the transition sweep: mean defaults and semivariance across it, f == 0
+_TRANSITION = (0.001, False, lambda n: np.linspace(0.0, 0.008, 17))
 
-def _j0_sweep(base: ModelParams, values, k: int, seed: int) -> SweepSpec:
-    return SweepSpec(
-        base=base,
-        values=tuple(float(v) for v in values),
-        k_realizations=k,
-        master_seed=seed,
-    )
+#: name -> (sigma_j, drift on, j0 grid as a function of N)
+_PRESETS = {
+    # weak-coupling default-count distribution
+    "fig1": (0.001, False, lambda n: [0.0001]),
+    # strong-coupling (collective) default-count distribution
+    "fig2": (0.001, False, lambda n: [0.02]),
+    "fig3-4": _TRANSITION,
+    "fig5": _TRANSITION,
+    # the transition sweep in the strong-disorder (glass) regime
+    "fig6-7": (0.2, False, lambda n: np.linspace(0.0, 0.02, 11)),
+    # drift-field case: j0 * N in [0, 40]
+    "fig8-9": (0.001, True, lambda n: np.linspace(0.0, 40.0, 21) / n),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_spec(
@@ -504,34 +516,15 @@ def preset_spec(
     smaller ``n_firms``/``k_realizations`` for desk-scale runs.  The
     drift-field sweep (fig8-9) is parametrized by j0 * N in [0, 40], so its
     j0 grid rescales automatically with ``n_firms``; the fixed-j0 presets
-    keep their published values regardless of N.
+    keep their published values regardless of N.  ``fig5`` is ``fig3-4``.
     """
-    zero = ModelParams(n_firms=n_firms, sigma_j=0.001)
-    if name == "fig1":
-        # weak-coupling default-count distribution
-        return _j0_sweep(zero, [0.0001], k_realizations, master_seed)
-    if name == "fig2":
-        # strong-coupling (collective) default-count distribution
-        return _j0_sweep(zero, [0.02], k_realizations, master_seed)
-    if name in ("fig3-4", "fig5"):
-        # mean defaults and semivariance across the transition, f == 0
-        values = np.round(np.linspace(0.0, 0.008, 17), 12)
-        return _j0_sweep(zero, values, k_realizations, master_seed)
-    if name == "fig6-7":
-        # same sweep in the strong-disorder (glass) regime
-        glassy = ModelParams(n_firms=n_firms, sigma_j=0.2)
-        values = np.round(np.linspace(0.0, 0.02, 11), 12)
-        return _j0_sweep(glassy, values, k_realizations, master_seed)
-    if name == "fig8-9":
-        # drift-field case: j0 * N in [0, 40]
-        drift = ModelParams(
-            n_firms=n_firms,
-            sigma_j=0.001,
-            f_table=f_table_from_weights(*RATING_DRIFT_WEIGHTS),
-        )
-        values = np.round(np.linspace(0.0, 40.0, 21) / n_firms, 12)
-        return _j0_sweep(drift, values, k_realizations, master_seed)
-    raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
-
-
-PRESET_NAMES = ("fig1", "fig2", "fig3-4", "fig5", "fig6-7", "fig8-9")
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
+    sigma_j, drift, grid = _PRESETS[name]
+    f_table = f_table_from_weights(*RATING_DRIFT_WEIGHTS) if drift else zero_f_table()
+    return SweepSpec(
+        base=ModelParams(n_firms=n_firms, sigma_j=sigma_j, f_table=f_table),
+        values=tuple(float(v) for v in np.round(grid(n_firms), 12)),
+        k_realizations=k_realizations,
+        master_seed=master_seed,
+    )

@@ -242,12 +242,12 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     below 3 (g falls through it) and the first above 3 (a > 1/3).
     """
     _require_beta(beta)
-    scalar = float(beta)  # numpy scalars bisect slowly and make numpy bools
+    scalar = float(beta)  # numpy scalars bisect slowly and make numpy bools; store floats
     third = 1.0 / 3.0
-    points = [MeanFieldPoint(p_up=third, q_down=third, beta=beta, stable=scalar < 3.0)]
+    points = [MeanFieldPoint(p_up=third, q_down=third, beta=scalar, stable=scalar < 3.0)]
     for a, stable in zip(_roots_off_third(scalar), (True, False)):
         b = 1.0 - 2.0 * a
-        points += [MeanFieldPoint(p_up=p, q_down=q, beta=beta, stable=stable)
+        points += [MeanFieldPoint(p_up=p, q_down=q, beta=scalar, stable=stable)
                    for p, q in ((a, a), (b, a), (a, b))]
     return points
 

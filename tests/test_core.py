@@ -347,6 +347,17 @@ def test_run_realization_deterministic():
     assert np.array_equal(first.final_spins, second.final_spins)
 
 
+def test_run_realization_takes_only_a_reproducible_seed():
+    params = ModelParams(n_firms=20, sigma_j=0.3)
+    same = [run_realization(params, seed).nd
+            for seed in (5, np.int64(5), np.random.SeedSequence(5))]
+    assert same == [same[0]] * 3
+    # None and a Generator would give another realization on each call
+    for seed in (None, np.random.default_rng(5), -1, 1.5, True, "5"):
+        with pytest.raises(ValueError, match="seed"):
+            run_realization(params, seed)
+
+
 def digest(values):
     return hashlib.sha256(",".join(str(int(v)) for v in values).encode()).hexdigest()[:16]
 

@@ -1,6 +1,7 @@
 """Tests for ensemble execution, sweeps, serialization and presets."""
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from firmglass.core import ModelParams, f_table_from_weights, run_realization
 from firmglass.experiment import (
     CSV_COLUMNS,
     PRESET_NAMES,
+    SweepResult,
     SweepSpec,
     emit,
     preset_spec,
@@ -97,6 +99,20 @@ def test_single_realization_ensemble():
     assert stats.semivariance_plus is None
 
 
+def test_ensemble_is_a_pure_function_of_its_seed():
+    params = ModelParams(n_firms=20, sigma_j=0.3)
+    seed = np.random.SeedSequence(5)
+    first = run_ensemble(params, 4, seed).nd_values
+    # the caller's SeedSequence is not advanced by the first call
+    assert run_ensemble(params, 4, seed).nd_values == first
+    assert run_ensemble(params, 4, 5).nd_values == first
+    # a spawned child seeds realization k with its own child k
+    nested = np.random.SeedSequence(5).spawn(2)[1]
+    children = np.random.SeedSequence(5).spawn(2)[1].spawn(3)
+    expected = [run_realization(params, child).nd for child in children]
+    assert [run_ensemble(params, 3, nested).nd_values for _ in range(2)] == [expected] * 2
+
+
 def test_ensemble_thread_count_does_not_change_results():
     serial = run_ensemble(DESK, 8, 33, threads=1)
     parallel = run_ensemble(DESK, 8, 33, threads=2)
@@ -153,6 +169,20 @@ def test_json_round_trip():
         restored = result_from_json(text)
         assert restored == result
         assert result_to_json(restored) == text
+
+
+def test_numpy_integers_are_stored_as_int_and_round_trip():
+    base = ModelParams(n_firms=np.int64(10), r_max=np.int32(3), steps=np.int64(2))
+    spec = SweepSpec(base=base, values=(0.0,), k_realizations=np.int64(2),
+                     master_seed=np.int64(3))
+    for value in (base.n_firms, base.r_max, base.steps, spec.k_realizations,
+                  spec.master_seed):
+        assert type(value) is int
+    result = run_sweep(spec)
+    text = result_to_json(result)
+    assert result_from_json(text) == result
+    plain = SweepSpec(ModelParams(n_firms=10, r_max=3, steps=2), (0.0,), 2, 3)
+    assert run_sweep(plain).points == result.points
 
 
 def rewrite_first_point(doc, nd_values):
@@ -447,3 +477,35 @@ def test_preset_scales_with_n():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         preset_spec("fig42")
+
+
+# sha256 of the JSON of each preset's spec with no points, recorded before
+# the presets moved into one table: any change to a preset's base, grid,
+# K or seed shows up here
+PRESET_SPEC_DIGESTS = {
+    (1000, "fig1"): "2ae4de592ae70862dca66dfbb003d635be25648ca6344044b420f7e3171b5019",
+    (1000, "fig2"): "0bd194ea242ff7c94ea730dda6ac5030e71bb7f061d7cc280429fbb712926f74",
+    (1000, "fig3-4"): "8a2ebae18bd020cba0df82a4cce272e569c36c2950a5e0ea290e3b4159817bfa",
+    (1000, "fig5"): "8a2ebae18bd020cba0df82a4cce272e569c36c2950a5e0ea290e3b4159817bfa",
+    (1000, "fig6-7"): "e27c68f2c2940edd66079014bda9dc9f2fe70f60bb461a986b5394a932203a12",
+    (1000, "fig8-9"): "6ce9c55fa48cf8442f6e2fc890e80ed98e1be4bd0a0dca1fa712cbe2e0e3b6fc",
+    (300, "fig1"): "1e286f02109ac77469f35d3a508be903bb86b9db3f8c8677fc7f09940bfee592",
+    (300, "fig2"): "53a3d80efebc6ab35b3d2eea8e3eb37803a611e8b1d299fbc8de3a55116b1158",
+    (300, "fig3-4"): "aa3d7ae582a72f220c0c4c82446a0600d8c1db2e319adc143ca49976a73e6d2b",
+    (300, "fig5"): "aa3d7ae582a72f220c0c4c82446a0600d8c1db2e319adc143ca49976a73e6d2b",
+    (300, "fig6-7"): "1f3a14d6826e78e2df521dda6dad584d7b323b3e95a080620ea8b790622d0d15",
+    (300, "fig8-9"): "add293707608110db69debd697514dfbb6bfe521114aa38a17a4f7299ae7cb1f",
+    (7, "fig1"): "10854db3543ca043176bfb6017dc1a7b350d7fbc1fbae0736bcdf6bf08fabfa1",
+    (7, "fig2"): "f4bce796ba30c048c0cbee01e2325febf58fd1cd8b2047ccd4ee69eecae4257e",
+    (7, "fig3-4"): "6b7088a4378d0bd51f964a1085cf65060c2ed9364db6aa31f40e4a063e155a34",
+    (7, "fig5"): "6b7088a4378d0bd51f964a1085cf65060c2ed9364db6aa31f40e4a063e155a34",
+    (7, "fig6-7"): "cb14900fec9a402cca8ee3b957e7b91ab7790e7f7f7ccc5a21fe7a4b00df9e2f",
+    (7, "fig8-9"): "db47c86290d5b97313a0f1ba89b713e6240ea092cdd0756c0af8953d9ab9ad3c",
+}
+
+
+def test_preset_specs_are_pinned():
+    assert {name for _, name in PRESET_SPEC_DIGESTS} == set(PRESET_NAMES)
+    for (n_firms, name), expected in PRESET_SPEC_DIGESTS.items():
+        text = result_to_json(SweepResult(preset_spec(name, n_firms=n_firms), [], {}))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, (n_firms, name)

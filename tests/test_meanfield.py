@@ -228,7 +228,7 @@ def test_fixed_points_hold_floats():
     for beta in np.linspace(0.0, 40.0, 17):
         for point in mean_field_fixed_points(beta):
             assert type(point.p_up) is float and type(point.q_down) is float
-            assert type(point.stable) is bool
+            assert type(point.beta) is float and type(point.stable) is bool
 
 
 def test_meanfield_point_validation():
