@@ -133,7 +133,8 @@ class ModelParams:
     n_firms:
         Number of firms N.
     j0, sigma_j:
-        Mean and standard deviation of the Gaussian pairwise couplings.
+        Mean and standard deviation of the Gaussian pairwise couplings;
+        (n_firms - 1) * (abs(j0) + 10 * sigma_j) must be at most 1e300.
     r_max:
         Top rating class; ratings live in {0, ..., r_max} with r_max + 1
         levels and 0 meaning default.
@@ -141,9 +142,9 @@ class ModelParams:
         Time horizon; each step performs ``n_firms`` micro-updates on firms
         drawn uniformly with replacement (:func:`draw_update_order`).
     f_table:
-        Per-move drift term f(s), keyed by the move value -1/0/+1.  Stored
-        as an :class:`FTable` copy, so later changes to the caller's
-        mapping do not reach the params.
+        Per-move drift term f(s), keyed by the move value -1/0/+1, each
+        value at most 1e300 in magnitude.  Stored as an :class:`FTable` copy
+        of floats, so later changes to the caller's mapping do not reach it.
     """
 
     n_firms: int
@@ -160,9 +161,10 @@ class ModelParams:
             raise ValueError(
                 f"j0 and sigma_j must be finite, got j0={self.j0}, sigma_j={self.sigma_j}"
             )
+        for name in ("j0", "sigma_j"):  # a numpy scalar is stored as the float it equals
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.sigma_j < 0:
             raise ValueError(f"sigma_j must be >= 0, got {self.sigma_j}")
-        object.__setattr__(self, "f_table", FTable(self.f_table))
         if set(self.f_table) != set(SPIN_VALUES):
             raise ValueError(
                 f"f_table must have exactly the keys {SPIN_VALUES}, "
@@ -170,6 +172,14 @@ class ModelParams:
             )
         if not all(math.isfinite(f) for f in self.f_table.values()):
             raise ValueError(f"f_table values must be finite, got {dict(self.f_table)}")
+        table = FTable({move: float(f) for move, f in self.f_table.items()})
+        object.__setattr__(self, "f_table", table)
+        # the cap meanfield puts on beta: every field and heat-bath exponent
+        # then stays some 8 orders of magnitude below inf
+        field_bound = (self.n_firms - 1) * (abs(self.j0) + 10 * self.sigma_j)
+        if max(field_bound, *(abs(f) for f in table.values())) > 1e300:
+            raise ValueError(f"(n_firms - 1) * (|j0| + 10 * sigma_j) and each |f| must be "
+                             f"at most 1e300, got {field_bound:g} and f_table={dict(table)}")
 
 
 @dataclass
@@ -256,7 +266,7 @@ def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float
 
     Returns (exp(a - m), exp(b - m), exp(c - m)) with m the largest
     exponent, so the weights lie in [0, 1], the largest is exactly 1 and
-    their sum stays finite for any field magnitude.
+    their sum stays finite for any finite field.
     """
     shift = a
     if b > shift:

@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -56,10 +56,14 @@ class SweepSpec:
             raise ValueError("values must be non-empty")
         if not all(math.isfinite(value) for value in self.values):
             raise ValueError(f"values must be finite, got {self.values}")
+        # numpy scalars are stored as the floats they equal
+        object.__setattr__(self, "values", tuple(float(value) for value in self.values))
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"values must be strictly increasing, got {self.values}")
         for name, minimum in (("k_realizations", 1), ("master_seed", 0)):
             object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
+        for value in self.values:
+            self.params_at(value)  # a value the model refuses is refused here
 
     @property
     def f_mode(self) -> str:
@@ -125,10 +129,6 @@ def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
     return run_realization(params, seed_seq).nd
 
 
-def _chunk_nd(tasks: list[tuple[ModelParams, np.random.SeedSequence]]) -> list[int]:
-    return [_realization_nd(task) for task in tasks]
-
-
 def _realization_tasks(
     params: ModelParams, seed: np.random.SeedSequence, k_realizations: int
 ) -> list[tuple[ModelParams, np.random.SeedSequence]]:
@@ -141,54 +141,39 @@ def _realization_tasks(
     ]
 
 
-def _submit_chunks(
-    pool: ProcessPoolExecutor,
-    tasks: list[tuple[ModelParams, np.random.SeedSequence]],
-    threads: int,
-) -> list[Future]:
-    """Queue one value's realizations as about ``4 * threads`` chunks, in order."""
-    chunk = max(1, len(tasks) // (threads * 4))
-    return [
-        pool.submit(_chunk_nd, tasks[start:start + chunk])
-        for start in range(0, len(tasks), chunk)
-    ]
-
-
 def _value_outcomes(
     task_lists: list[list[tuple[ModelParams, np.random.SeedSequence]]], threads: int
 ) -> Iterator[tuple[int, list[int] | Exception]]:
     """Yield (value index, ND values or the error that failed it) in index order.
 
-    With several workers, one fork-context pool takes every value's
-    realizations up front as chunks, value-major, and the values are
-    collected in order while the workers run ahead.  A ``MemoryError``
-    fails its own value.  A dead worker breaks the pool and every pending
-    future with it, so the value being collected is re-run alone on a fresh
-    pool and fails only if it breaks that one too; every value not yet
-    collected is then re-run on a fresh pool.  Close the generator to stop
-    early: queued chunks are cancelled instead of run.
+    One loop runs every value on ``min(threads, realizations)`` workers: one
+    worker maps each value in this process; several share one fork-context
+    pool, whose ``map`` takes every value's realizations up front, value-major,
+    in chunks of about ``len(tasks) / (4 * workers)``, while the values are
+    collected in order.  A ``MemoryError`` fails its own value.  A dead
+    worker breaks the pool and every pending future with it, so the value
+    being collected is re-run alone on a fresh pool and fails only if it
+    breaks that one too; every value not yet collected is then re-run on a
+    fresh pool.  Close the generator to stop early: queued chunks are
+    cancelled instead of run.
     """
-    total = sum(len(tasks) for tasks in task_lists)
-    if threads == 1 or total == 1:
-        for index, tasks in enumerate(task_lists):
-            try:
-                nd_values = [_realization_nd(task) for task in tasks]
-            except MemoryError as exc:
-                yield index, exc
-            else:
-                yield index, nd_values
-        return
+    workers = min(threads, sum(len(tasks) for tasks in task_lists))
     remaining = list(range(len(task_lists)))
     alone = False
     while remaining:
         batch = remaining[:1] if alone else list(remaining)
         alone = False
-        pool = ProcessPoolExecutor(max_workers=threads, mp_context=get_context("fork"))
+        pool = (ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"))
+                if workers > 1 else None)
         try:
-            futures = [_submit_chunks(pool, task_lists[index], threads) for index in batch]
-            for index, value_futures in zip(batch, futures):
+            results = [
+                map(_realization_nd, tasks) if pool is None else
+                pool.map(_realization_nd, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+                for tasks in (task_lists[index] for index in batch)
+            ]
+            for index, nd_values in zip(batch, results):
                 try:
-                    outcome = [nd for future in value_futures for nd in future.result()]
+                    outcome = list(nd_values)
                 except MemoryError as exc:
                     outcome = exc
                 remaining.remove(index)
@@ -200,7 +185,8 @@ def _value_outcomes(
             remaining.remove(batch[0])
             yield batch[0], exc
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_ensemble(

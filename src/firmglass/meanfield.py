@@ -440,6 +440,8 @@ def _deviation_grid_rows(
     if not 1e-3 <= grid_step <= 1:
         raise ValueError(f"grid_step must be in [0.001, 1], got {grid_step}")
     n_levels = round(1.0 / grid_step)
+    if abs(n_levels * grid_step - 1.0) > 1e-9:
+        raise ValueError(f"grid_step must divide 1, got {grid_step}")
     up_index, down_end = np.triu_indices(n_levels + 1)
     return _deviation_blocks(up_index / n_levels, (down_end - up_index) / n_levels)
 
@@ -467,6 +469,6 @@ def closed_form_deviation_grid(
     in numpy blocks.  Both routes run at (STEPS, R_MAX), the only portfolio
     the printed polynomial describes.  The closed form is evaluated with its
     reversed argument convention, i.e. at (q_down, p_up).  Steps below 1e-3
-    (501 501 rows) are refused.
+    (501 501 rows) are refused, as is a step whose inverse is not an integer.
     """
     return list(_deviation_grid_rows(grid_step))

@@ -116,6 +116,18 @@ def test_sweep_invalid_range_exits_one(capsys):
     assert "--j0-max" in err
 
 
+def test_overflowing_couplings_exit_one_before_any_work(capsys):
+    # only the last sweep value overflows, so every value is checked up front
+    for argv in (["sweep", "--n", "50", "--k", "2", "--j0-min", "0", "--j0-max", "1e308",
+                  "--j0-points", "2"],
+                 ["run", "--n", "50", "--k", "2", "--sigma-j", "1e308"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert "configuration error" in err and "at most 1e300" in err
+        assert "[firmglass] sweep" not in err
+        assert out == ""
+
+
 def test_bad_thread_count_exits_one_before_any_work(capsys):
     for command in (["run", *DESK], ["reproduce", "fig1", "--n", "20", "--k", "2"]):
         code, out, err = run_cli(capsys, *command, "--threads", "0")
@@ -217,6 +229,8 @@ def test_chain_flags_exit_one_before_any_output(capsys):
                  ["oracle", "--grid", "--rmax", "6"],
                  ["oracle", "--grid", "--grid-step", "0"],
                  ["oracle", "--grid", "--grid-step", "1e-4"],
+                 # 1 / 0.3 is not a whole number of grid levels
+                 ["oracle", "--grid", "--grid-step", "0.3"],
                  # the grid covers the whole simplex, so a point is a mistake
                  ["oracle", "--grid", "--p", "0.3", "--q", "0.9"],
                  ["oracle", "--grid", "--q", "0.3"]):

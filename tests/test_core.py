@@ -62,6 +62,12 @@ def make_state(couplings, ratings, spins):
         {"n_firms": True},
         {"n_firms": 10, "r_max": True},
         {"n_firms": 10, "steps": True},
+        # finite, but a field or a heat-bath exponent could reach inf
+        {"n_firms": 50, "j0": 1e308},
+        {"n_firms": 50, "j0": -1e308},
+        {"n_firms": 50, "sigma_j": 1e308},
+        {"n_firms": 3, "j0": 6e299},
+        {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0, 1: -1e301}},
     ],
 )
 def test_params_validation(kwargs):
@@ -87,6 +93,17 @@ def test_params_hash_and_copy_their_drift_table():
 def test_params_accept_numpy_integers():
     params = ModelParams(n_firms=np.int64(10), r_max=np.int32(3), steps=np.int64(2))
     assert run_realization(params, 0).final_ratings.max() <= 3
+
+
+def test_params_store_numpy_floats_as_float():
+    params = ModelParams(n_firms=10, j0=np.float64(0.005), sigma_j=np.float32(0.5),
+                         f_table={-1: np.float64(-1.0), 0: 0, 1: np.float32(0.5)})
+    assert type(params.j0) is float and type(params.sigma_j) is float
+    assert [type(params.f_table[s]) for s in (-1, 0, 1)] == [float] * 3
+    assert params == ModelParams(n_firms=10, j0=0.005, sigma_j=0.5,
+                                 f_table={-1: -1.0, 0: 0.0, 1: 0.5})
+    # the largest couplings and drift values a model may hold
+    ModelParams(n_firms=3, j0=5e299, f_table={-1: 1e300, 0: 0.0, 1: -1e300})
 
 
 def test_f_table_from_weights():

@@ -290,11 +290,12 @@ def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch):
 
     monkeypatch.setattr(experiment, "_realization_nd", _realization_nd_exhausted_at_0002)
     for threads in (1, 2):
+        # numpy floats, as `firmglass sweep` builds them, name the value as a float
         result = experiment.run_sweep(
-            desk_spec(values=(0.0, 0.002, 0.004), k=3), threads=threads
+            desk_spec(values=tuple(np.linspace(0.0, 0.004, 3)), k=3), threads=threads
         )
         assert [point.sweep_value for point in result.points] == [0.0, 0.004]
-        assert "0.002" in next(iter(result.metadata["failed_values"]))
+        assert list(result.metadata["failed_values"]) == ["0.002"]
         assert result.argmin_index is not None
 
 
@@ -370,6 +371,25 @@ def test_sweep_builds_one_pool(monkeypatch):
     result = experiment.run_sweep(desk_spec(values=(0.0, 0.002, 0.004), k=4), threads=2)
     assert len(result.points) == 3
     assert len(built) == 1
+
+
+def test_pool_never_outnumbers_the_realizations(monkeypatch):
+    import firmglass.experiment as experiment
+
+    built = []
+
+    class CappedPool(experiment.ProcessPoolExecutor):
+        def __init__(self, *args, max_workers, **kwargs):
+            # refused before any worker process is forked
+            assert max_workers <= 3, f"{max_workers} workers for 3 realizations"
+            built.append(max_workers)
+            super().__init__(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CappedPool)
+    spec = desk_spec(values=(0.0,), k=3)
+    result = experiment.run_sweep(spec, threads=64)
+    assert built == [3]
+    assert result.points == run_sweep(spec).points
 
 
 def test_sweep_bytes_do_not_depend_on_worker_count():

@@ -573,7 +573,7 @@ def test_deviation_grid_shape_and_content():
     assert all(row[4] <= 5e-3 for row in corner_rows)
 
 
-@pytest.mark.parametrize("grid_step", [0.0, 1e-4, 9.99e-4, 1.5, math.nan, -0.1])
+@pytest.mark.parametrize("grid_step", [0.0, 1e-4, 9.99e-4, 1.5, math.nan, -0.1, 0.3, 0.7])
 def test_deviation_grid_refuses_a_step_outside_its_range(grid_step):
     # below 1e-3 the grid would exceed 501 501 rows; refused before any row
     started = time.perf_counter()
