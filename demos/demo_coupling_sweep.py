@@ -24,7 +24,7 @@ spec = SweepSpec(
     master_seed=7,
 )
 
-result = run_sweep(spec, progress=True)
+result = run_sweep(spec)
 
 print(f"\nj_critical = {J_CRITICAL:g}\n")
 print(f"{'j0/Jc':>6} {'mean ND/N':>10} {'Var+':>10} {'regime':>15}")

@@ -36,7 +36,7 @@ spec = SweepSpec(
     master_seed=11,
 )
 
-result = run_sweep(spec, progress=True)
+result = run_sweep(spec)
 
 print(f"\nPer-move drift weights: down/stay/up = {RATING_DRIFT_WEIGHTS}\n")
 print(f"{'j0*N':>6} {'mean ND':>9} {'Var+':>10}")

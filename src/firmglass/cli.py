@@ -1,5 +1,9 @@
 """Command-line interface: run, sweep, meanfield, oracle, reproduce.
 
+Every command works on the paper's portfolio, ``core.STEPS`` time steps
+over the ratings {0, ..., ``core.R_MAX``}, and ``--f-mode constant_table``
+is the ``RATING_DRIFT_WEIGHTS`` drift; the library takes other values.
+
 Each command runs in two phases.  The build phase parses the flags and
 builds the work: a ``SweepSpec`` for run/sweep/reproduce, the output's text
 chunks for meanfield/oracle (``oracle --grid`` checks its step there and
@@ -68,25 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = _flags()
     fmt.add_argument("--format", choices=("json", "csv"), default="json",
                      help="output format")
-    portfolio = _flags()
-    portfolio.add_argument("--steps", type=int, default=STEPS, help="time steps")
-    portfolio.add_argument("--rmax", type=int, default=R_MAX, help="top rating class")
     ensemble = _flags()
     ensemble.add_argument("--n", type=int, default=1000, help="number of firms")
     ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
     ensemble.add_argument("--threads", type=int, default=1, help="parallel workers")
     drift = _flags()
-    drift.add_argument("--f-mode", choices=("zero", "constant_table"),
-                       default="zero", help="drift term: off, or a constant per-move table")
-    # None marks a weight not given; --f-mode zero refuses any that is
-    drift.add_argument("--f-down", type=float, default=None,
-                       help="exp(f) weight of a down move (constant_table mode only)")
-    drift.add_argument("--f-stay", type=float, default=None,
-                       help="exp(f) weight of staying (constant_table mode only)")
-    drift.add_argument("--f-up", type=float, default=None,
-                       help="exp(f) weight of an up move (constant_table mode only)")
+    drift.add_argument("--f-mode", choices=("zero", "constant_table"), default="zero",
+                       help="drift term: off, or the per-move weights 0.15/0.75/0.10")
     # run and sweep set the model; reproduce takes it from the preset
-    model = _flags(ensemble, portfolio, drift, output, fmt)
+    model = _flags(ensemble, drift, output, fmt)
     model.add_argument("--sigma-j", type=float, default=0.001,
                        help="coupling standard deviation")
     model.add_argument("--seed", type=int, default=0, help="master seed")
@@ -100,19 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--j0-max", type=float, required=True)
     p_sweep.add_argument("--j0-points", type=int, default=11)
 
-    p_mf = sub.add_parser("meanfield", parents=[portfolio, output, fmt],
+    p_mf = sub.add_parser("meanfield", parents=[output, fmt],
                           help="fixed points and predicted default levels over a beta range")
     p_mf.add_argument("--beta-min", type=float, default=0.0)
     p_mf.add_argument("--beta-max", type=float, default=6.0)
     p_mf.add_argument("--beta-points", type=int, default=13)
 
-    p_or = sub.add_parser("oracle", parents=[portfolio, output],
+    p_or = sub.add_parser("oracle", parents=[output],
                           help="exact chain and closed-form default fractions")
     p_or.add_argument("--p", type=float, default=None, help="per-move up probability")
     p_or.add_argument("--q", type=float, default=None, help="per-move down probability")
     p_or.add_argument("--grid", action="store_true",
                       help="emit the chain-vs-closed-form deviation grid as CSV")
-    p_or.add_argument("--grid-step", type=float, default=0.1)
+    p_or.add_argument("--grid-step", type=float, default=None,
+                      help="grid spacing, --grid only (default 0.1)")
 
     p_rep = sub.add_parser("reproduce", parents=[ensemble, output, fmt],
                            help="run a published study preset")
@@ -123,25 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _f_table(args: argparse.Namespace) -> dict[int, float]:
-    """The --f-mode table; a weight left out comes from RATING_DRIFT_WEIGHTS."""
-    given = (args.f_down, args.f_stay, args.f_up)
-    if args.f_mode == "zero":
-        if given != (None, None, None):
-            raise ValueError("--f-down/--f-stay/--f-up need --f-mode constant_table")
-        return zero_f_table()
-    weights = [d if w is None else w for w, d in zip(given, RATING_DRIFT_WEIGHTS)]
-    return f_table_from_weights(*weights)
-
-
 def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec:
     base = ModelParams(
         n_firms=args.n,
         j0=values[0],
         sigma_j=args.sigma_j,
-        r_max=args.rmax,
-        steps=args.steps,
-        f_table=_f_table(args),
+        f_table=(f_table_from_weights(*RATING_DRIFT_WEIGHTS)
+                 if args.f_mode == "constant_table" else zero_f_table()),
     )
     return SweepSpec(
         base=base,
@@ -182,7 +165,7 @@ def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
     levels = iter(_default_fractions(
         np.array([point.p_up for point in every_point]),
         np.array([point.q_down for point in every_point]),
-        args.steps, args.rmax,
+        STEPS, R_MAX,
     ).tolist())
     records = [
         {
@@ -201,7 +184,7 @@ def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
     ]
     if args.format == "json":
         return [json.dumps(
-            {"steps": args.steps, "r_max": args.rmax, "betas": records},
+            {"steps": STEPS, "r_max": R_MAX, "betas": records},
             indent=2,
         ) + "\n"]
     rows = (
@@ -214,26 +197,22 @@ def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
-    # the printed closed form describes the STEPS-step, R_MAX-level portfolio only
-    has_closed_form = (args.steps, args.rmax) == (STEPS, R_MAX)
     if args.grid:
-        if not has_closed_form:
-            raise ValueError(f"--grid needs --steps {STEPS} --rmax {R_MAX}, the closed "
-                             "form's only portfolio")
         if (args.p, args.q) != (None, None):
             raise ValueError("--p and --q cannot be given with --grid, which "
                              "covers the whole simplex")
         header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
         # the step is checked here; the rows stream out in the run phase
-        return csv_chunks(header, _deviation_grid_rows(args.grid_step))
+        step = 0.1 if args.grid_step is None else args.grid_step
+        return csv_chunks(header, _deviation_grid_rows(step))
+    if args.grid_step is not None:
+        raise ValueError("--grid-step needs --grid")
     if args.p is None or args.q is None:
         raise ValueError("--p and --q are required unless --grid is given")
-    markov = default_fraction_markov(args.p, args.q, args.steps, args.rmax)
-    lines = [f"markov default fraction: {markov:.6f}"]
-    if has_closed_form:
-        closed = default_fraction_closed_form(args.q, args.p)
-        lines.append(f"closed-form default fraction: {closed:.6f}")
-    return ["\n".join(lines) + "\n"]
+    markov = default_fraction_markov(args.p, args.q)
+    closed = default_fraction_closed_form(args.q, args.p)
+    return [f"markov default fraction: {markov:.6f}\n"
+            f"closed-form default fraction: {closed:.6f}\n"]
 
 
 def _reproduce_spec(args: argparse.Namespace) -> SweepSpec:
@@ -269,7 +248,7 @@ def cli(argv: list[str] | None = None) -> int:
             print(f"firmglass: configuration error: {exc}", file=sys.stderr)
             return 1
         if args.command in _SPEC_BUILDERS:
-            result = run_sweep(spec, threads=args.threads, progress=True)
+            result = run_sweep(spec, threads=args.threads)
             emit(result, format=args.format, path=args.out)
         else:
             write_payload(payload, args.out)

@@ -80,14 +80,14 @@ def seed_sequence(name: str, seed: object) -> np.random.SeedSequence:
 
 
 def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> dict[int, float]:
-    """Build a drift table f(s) = log(weight) from positive per-move weights.
+    """Build a drift table f(s) = log(weight) from positive, finite per-move weights.
 
     An isolated firm's move distribution is the normalized weight triple, so
     weights that already sum to 1 are that distribution verbatim.
     """
     weights = (w_down, w_stay, w_up)
-    if any(w <= 0 for w in weights):
-        raise ValueError(f"drift weights must be positive, got {weights}")
+    if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
+        raise ValueError(f"drift weights must be positive and finite, got {weights}")
     return {s: math.log(w) for s, w in zip(SPIN_VALUES, weights)}
 
 
@@ -201,12 +201,13 @@ class EnsembleState:
 
 @dataclass
 class RealizationOutcome:
-    """Result of one simulated realization."""
+    """Result of one simulated realization: ``nd_trajectory`` holds the
+    defaulted-firm count after each time step, and ``nd`` is its last entry."""
 
     nd: int
     final_ratings: np.ndarray
     final_spins: np.ndarray
-    nd_trajectory: tuple[int, ...] | None = None
+    nd_trajectory: tuple[int, ...]
 
 
 def sample_coupling_matrix(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
@@ -383,32 +384,28 @@ def count_defaults(state: EnsembleState) -> int:
 
 
 def run_realization(
-    params: ModelParams,
-    seed: int | np.random.SeedSequence,
-    *,
-    record_trajectory: bool = False,
+    params: ModelParams, seed: int | np.random.SeedSequence
 ) -> RealizationOutcome:
     """Simulate one full realization from a seed.
 
     Draws a fresh coupling matrix and initial state, advances ``steps`` time
-    steps and counts defaulted firms.  Deterministic: the generator is
-    consumed in a fixed order (couplings, ratings, moves, then per step:
-    firm order, then one uniform per micro-update), so the same
-    (params, seed) pair always yields the same outcome.  The seed must be an
-    int >= 0 or a ``SeedSequence`` (:func:`seed_sequence`), else
-    ``ValueError``.
+    steps and counts defaulted firms after each; ``nd`` is the trajectory's
+    last entry.  Deterministic: the generator is consumed in a fixed order
+    (couplings, ratings, moves, then per step: firm order, then one uniform
+    per micro-update), so the same (params, seed) pair always yields the
+    same outcome.  The seed must be an int >= 0 or a ``SeedSequence``
+    (:func:`seed_sequence`), else ``ValueError``.
     """
     rng = np.random.default_rng(seed_sequence("seed", seed))
     couplings = sample_coupling_matrix(params, rng)
     state = initial_state(params, couplings, rng)
-    trajectory: list[int] | None = [] if record_trajectory else None
+    trajectory = []
     for _ in range(params.steps):
         time_step(state, couplings, params, rng)
-        if trajectory is not None:
-            trajectory.append(count_defaults(state))
+        trajectory.append(count_defaults(state))
     return RealizationOutcome(
-        nd=count_defaults(state),
+        nd=trajectory[-1],
         final_ratings=state.ratings,
         final_spins=state.spins,
-        nd_trajectory=tuple(trajectory) if trajectory is not None else None,
+        nd_trajectory=tuple(trajectory),
     )

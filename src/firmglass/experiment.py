@@ -222,19 +222,15 @@ def _sweep_point(spec: SweepSpec, value: float, nd_values: Sequence[int]) -> Swe
     return SweepPoint(value, ensemble_stats(nd_values), predict_phase(spec.params_at(value)))
 
 
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    threads: int = 1,
-    progress: bool = False,
-) -> SweepResult:
+def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
-    Every value's realizations share one worker pool.  A value that
-    exhausts memory or loses a worker process is recorded under
-    metadata["failed_values"] and skipped; the remaining values are
-    unaffected.  A thread count that is not an integer >= 1 raises
-    ``ValueError`` before any work.
+    Every value's realizations share one worker pool.  As each value is
+    collected, one ``[firmglass] sweep i/n j0=... done`` line (``failed``
+    for a lost value) goes to stderr.  A value that exhausts memory or
+    loses a worker process is recorded under metadata["failed_values"] and
+    skipped; the remaining values are unaffected.  A thread count that is
+    not an integer >= 1 raises ``ValueError`` before any work.
     """
     require_integer("threads", threads, 1)
     started = time.perf_counter()
@@ -249,13 +245,12 @@ def run_sweep(
         for index, outcome in outcomes:
             value = spec.values[index]
             lost = isinstance(outcome, Exception)
-            if progress:
-                print(
-                    f"[firmglass] sweep {index + 1}/{len(spec.values)} "
-                    f"j0={value:g} {'failed' if lost else 'done'}",
-                    file=sys.stderr,
-                    flush=True,
-                )
+            print(
+                f"[firmglass] sweep {index + 1}/{len(spec.values)} "
+                f"j0={value:g} {'failed' if lost else 'done'}",
+                file=sys.stderr,
+                flush=True,
+            )
             if lost:
                 failed[repr(value)] = f"{type(outcome).__name__}: {outcome}"
                 continue

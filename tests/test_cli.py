@@ -18,6 +18,7 @@ from firmglass import cli as cli_module
 from firmglass.cli import cli
 from firmglass.core import RATING_DRIFT_WEIGHTS, f_table_from_weights
 from firmglass.experiment import result_from_json
+from firmglass.meanfield import default_fraction_closed_form
 
 DESK = ["--n", "50", "--k", "4", "--seed", "1"]
 
@@ -74,28 +75,32 @@ def test_run_constant_table_mode(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["f_mode"] == "constant_table"
-    assert doc["base_params"]["f_table"]["0"] != 0.0
+    table = doc["base_params"]["f_table"]
+    assert {int(move): f for move, f in table.items()} == f_table_from_weights(
+        *RATING_DRIFT_WEIGHTS)
 
 
-def test_constant_table_takes_absent_weights_from_the_drift_default(capsys):
-    code, out, _ = run_cli(capsys, "run", *DESK, "--f-mode", "constant_table",
-                           "--f-up", "0.2")
-    assert code == 0
-    expected = f_table_from_weights(*RATING_DRIFT_WEIGHTS[:2], 0.2)
-    table = json.loads(out)["base_params"]["f_table"]
-    assert {int(move): f for move, f in table.items()} == expected
+# the portfolio and the drift weights are the paper's; no flag sets them
+PORTFOLIO_FLAGS = ("--steps", "--rmax")
+DRIFT_FLAGS = ("--f-down", "--f-stay", "--f-up")
+DELETED_FLAGS = {
+    "run": (["run", *DESK], PORTFOLIO_FLAGS + DRIFT_FLAGS),
+    "sweep": (["sweep", *DESK, "--j0-min", "0", "--j0-max", "0.01"],
+              PORTFOLIO_FLAGS + DRIFT_FLAGS),
+    "meanfield": (["meanfield"], PORTFOLIO_FLAGS),
+    "oracle": (["oracle", "--p", "0.3", "--q", "0.3"], PORTFOLIO_FLAGS),
+}
 
 
-def test_drift_weights_without_a_table_exit_one_before_any_output(capsys):
-    sweep = ["sweep", *DESK, "--j0-min", "0", "--j0-max", "0.01"]
-    for argv in (["run", *DESK, "--f-down", "0.5", "--f-stay", "0.25", "--f-up", "0.25"],
-                 ["run", *DESK, "--f-mode", "zero", "--f-stay", "0.75"],
-                 [*sweep, "--f-up", "0.1"]):
+@pytest.mark.parametrize("command", sorted(DELETED_FLAGS))
+def test_deleted_portfolio_and_drift_flags_exit_one_before_any_output(command, capsys):
+    argv, flags = DELETED_FLAGS[command]
+    for flag in flags:
         started = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, flag, "5")
         assert time.perf_counter() - started < 1.0
-        assert code == 1, argv
-        assert "configuration error" in err and "--f-mode constant_table" in err
+        assert code == 1, flag
+        assert "unrecognized arguments" in err and flag in err
         assert out == ""
 
 
@@ -153,8 +158,12 @@ def test_help_exits_zero(capsys):
 def test_oracle_point_value(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--p", "0.3333333", "--q", "0.3333333")
     assert code == 0
-    value = float(out.splitlines()[0].rsplit(":", 1)[1])
-    assert abs(value - 0.202) <= 0.001
+    markov, closed = out.splitlines()
+    assert markov.startswith("markov default fraction: ")
+    assert abs(float(markov.rsplit(":", 1)[1]) - 0.202) <= 0.001
+    assert closed.startswith("closed-form default fraction: ")
+    value = float(closed.rsplit(":", 1)[1])
+    assert value == round(default_fraction_closed_form(0.3333333, 0.3333333), 6)
 
 
 def test_oracle_requires_probabilities(capsys):
@@ -219,21 +228,15 @@ def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
 
 
 def test_chain_flags_exit_one_before_any_output(capsys):
-    point = ["oracle", "--p", "0.3", "--q", "0.3"]
-    for argv in (["meanfield", "--rmax", "0"], ["meanfield", "--steps", "-1"],
-                 [*point, "--rmax", "0"], [*point, "--steps", "-1"],
-                 ["oracle", "--grid", "--rmax", "0"],
-                 # the printed closed form exists at 8 steps and 7 levels only
-                 ["oracle", "--grid", "--steps", "5", "--rmax", "4"],
-                 ["oracle", "--grid", "--steps", "9"],
-                 ["oracle", "--grid", "--rmax", "6"],
-                 ["oracle", "--grid", "--grid-step", "0"],
+    for argv in (["oracle", "--grid", "--grid-step", "0"],
                  ["oracle", "--grid", "--grid-step", "1e-4"],
                  # 1 / 0.3 is not a whole number of grid levels
                  ["oracle", "--grid", "--grid-step", "0.3"],
                  # the grid covers the whole simplex, so a point is a mistake
                  ["oracle", "--grid", "--p", "0.3", "--q", "0.9"],
-                 ["oracle", "--grid", "--q", "0.3"]):
+                 ["oracle", "--grid", "--q", "0.3"],
+                 # a point has no grid to space
+                 ["oracle", "--p", "0.3", "--q", "0.3", "--grid-step", "0.1"]):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - started < 1.0

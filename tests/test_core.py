@@ -111,8 +111,10 @@ def test_f_table_from_weights():
     assert table[-1] == math.log(0.15)
     assert table[0] == math.log(0.75)
     assert table[1] == math.log(0.10)
-    with pytest.raises(ValueError):
-        f_table_from_weights(0.0, 0.5, 0.5)
+    for weights in ((0.0, 0.5, 0.5), (math.nan, 0.5, 0.5), (0.15, math.inf, 0.10),
+                    (0.15, 0.75, -math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            f_table_from_weights(*weights)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +358,8 @@ def test_zero_coupling_spin_distribution_uniform():
 
 def test_run_realization_deterministic():
     params = ModelParams(n_firms=80, j0=0.01, sigma_j=0.05)
-    first = run_realization(params, 13, record_trajectory=True)
-    second = run_realization(params, 13, record_trajectory=True)
+    first = run_realization(params, 13)
+    second = run_realization(params, 13)
     assert first.nd == second.nd
     assert first.nd_trajectory == second.nd_trajectory
     assert np.array_equal(first.final_ratings, second.final_ratings)
@@ -399,7 +401,7 @@ def test_seed_oracle():
         f_table=f_table_from_weights(0.15, 0.75, 0.10),
     )
     for seed, (nd, trajectory, ratings, spins) in enumerate(SEED_ORACLE):
-        outcome = run_realization(params, seed, record_trajectory=True)
+        outcome = run_realization(params, seed)
         assert outcome.nd == nd
         assert outcome.nd_trajectory == trajectory
         assert digest(outcome.final_ratings) == ratings
@@ -491,7 +493,7 @@ def test_always_up_never_defaults():
 
 def test_defaults_accumulate_and_ratings_stay_in_range():
     params = ModelParams(n_firms=150, j0=0.0, sigma_j=0.4, steps=12)
-    outcome = run_realization(params, 15, record_trajectory=True)
+    outcome = run_realization(params, 15)
     trajectory = outcome.nd_trajectory
     assert all(a <= b for a, b in zip(trajectory, trajectory[1:]))
     assert outcome.nd == trajectory[-1]

@@ -4,9 +4,10 @@ The demos take seconds to minutes each, so nothing here runs them: each
 script is parsed with ``ast`` and every name it takes from ``firmglass`` is
 looked up, and every call to a ``firmglass`` callable is bound against the
 callable's signature.  A renamed export or a removed parameter fails here,
-and so does a README flag that no ``firmglass`` subcommand takes, a README
-name such as ``meanfield.mean_field_map`` that its module lacks, and a
-namespace list in the README that is not ``firmglass.__all__``.
+and so does a README flag that no ``firmglass`` subcommand takes, a flag
+that the README never names, a README name such as
+``meanfield.mean_field_map`` that its module lacks, and a namespace list in
+the README that is not ``firmglass.__all__``.
 """
 
 import ast
@@ -109,6 +110,8 @@ def test_readme_names_only_current_cli_flags():
              for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
     assert "--threads" in named
     assert named <= options, f"README names flags no subcommand takes: {sorted(named - options)}"
+    unnamed = {flag for flag in options if flag.startswith("--")} - named - {"--help"}
+    assert not unnamed, f"README does not name these flags: {sorted(unnamed)}"
 
 
 def test_readme_lists_the_namespace_and_names_only_what_exists():

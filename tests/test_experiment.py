@@ -285,7 +285,7 @@ def _realization_nd_exhausted_at_0002(task):
     return run_realization(params, seed_seq).nd
 
 
-def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch):
+def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch, capsys):
     import firmglass.experiment as experiment
 
     monkeypatch.setattr(experiment, "_realization_nd", _realization_nd_exhausted_at_0002)
@@ -297,6 +297,12 @@ def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch):
         assert [point.sweep_value for point in result.points] == [0.0, 0.004]
         assert list(result.metadata["failed_values"]) == ["0.002"]
         assert result.argmin_index is not None
+        # one progress line per value, in value order
+        assert capsys.readouterr().err.splitlines() == [
+            "[firmglass] sweep 1/3 j0=0 done",
+            "[firmglass] sweep 2/3 j0=0.002 failed",
+            "[firmglass] sweep 3/3 j0=0.004 done",
+        ]
 
 
 def _realization_nd_dying_at_0002(task):
@@ -353,7 +359,7 @@ def test_dead_worker_at_either_end_costs_only_its_value(monkeypatch, dying):
 def test_sweep_refuses_bad_thread_count_before_any_work(capsys):
     for threads in (0, 1.5):
         with pytest.raises(ValueError, match="threads"):
-            run_sweep(desk_spec(), threads=threads, progress=True)
+            run_sweep(desk_spec(), threads=threads)
         assert capsys.readouterr().err == ""
 
 

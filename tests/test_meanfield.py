@@ -439,10 +439,13 @@ def test_transition_matrix_structure():
     [
         lambda: default_fraction_markov(math.nan, 0.0),
         lambda: default_fraction_markov(0.2, 0.2, r_max=True),
+        lambda: default_fraction_markov(0.2, 0.2, r_max=0),
         lambda: default_fraction_markov(0.2, 0.2, steps=2.5),
+        lambda: default_fraction_markov(0.2, 0.2, steps=-1),
         lambda: rating_transition_matrix(0.1, math.nan),
     ],
-    ids=["nan-up", "bool-r_max", "fractional-steps", "nan-down"],
+    ids=["nan-up", "bool-r_max", "zero-r_max", "fractional-steps", "negative-steps",
+         "nan-down"],
 )
 def test_chain_refuses_bad_input(call):
     with pytest.raises(ValueError):
