@@ -39,7 +39,6 @@ from .meanfield import (
     mean_field_fixed_points,
     ordered_phase_default_fraction,
     predict_phase,
-    rating_transition_matrix,
     transition_beta,
 )
 from .riskstats import (
@@ -74,7 +73,6 @@ __all__ = [
     "ordered_phase_default_fraction",
     "predict_phase",
     "preset_spec",
-    "rating_transition_matrix",
     "result_from_json",
     "result_to_json",
     "run_ensemble",

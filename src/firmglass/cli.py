@@ -1,8 +1,9 @@
 """Command-line interface: run, sweep, meanfield, oracle, reproduce.
 
 Every command works on the paper's portfolio, ``core.STEPS`` time steps
-over the ratings {0, ..., ``core.R_MAX``}, and ``--f-mode constant_table``
-is the ``RATING_DRIFT_WEIGHTS`` drift; the library takes other values.
+over the ratings {0, ..., ``core.R_MAX``}, and ``--f-mode`` picks a drift
+table of ``core.F_TABLES`` by name (``constant_table`` is the
+``RATING_DRIFT_WEIGHTS`` drift); the library takes other values.
 
 Each command runs in two phases.  The build phase parses the flags and
 builds the work: a ``SweepSpec`` for run/sweep/reproduce, the output's text
@@ -27,15 +28,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .core import (
-    R_MAX,
-    RATING_DRIFT_WEIGHTS,
-    STEPS,
-    ModelParams,
-    f_table_from_weights,
-    require_integer,
-    zero_f_table,
-)
+from .core import F_TABLES, R_MAX, STEPS, ModelParams, require_integer
 from .experiment import (
     PRESET_NAMES,
     SweepSpec,
@@ -77,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
     ensemble.add_argument("--threads", type=int, default=1, help="parallel workers")
     drift = _flags()
-    drift.add_argument("--f-mode", choices=("zero", "constant_table"), default="zero",
+    drift.add_argument("--f-mode", choices=tuple(F_TABLES), default="zero",
                        help="drift term: off, or the per-move weights 0.15/0.75/0.10")
     # run and sweep set the model; reproduce takes it from the preset
     model = _flags(ensemble, drift, output, fmt)
@@ -123,8 +116,7 @@ def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec
         n_firms=args.n,
         j0=values[0],
         sigma_j=args.sigma_j,
-        f_table=(f_table_from_weights(*RATING_DRIFT_WEIGHTS)
-                 if args.f_mode == "constant_table" else zero_f_table()),
+        f_table=F_TABLES[args.f_mode],
     )
     return SweepSpec(
         base=base,

@@ -55,6 +55,11 @@ R_MAX = 7
 #: its rating with probability 0.75, loses a notch with 0.15, gains with 0.10.
 RATING_DRIFT_WEIGHTS = (0.15, 0.75, 0.10)
 
+#: The largest field bound and |f| that :class:`ModelParams` takes, and the
+#: largest mean-field beta: every field and heat-bath exponent then stays
+#: some 8 orders of magnitude below inf.
+FIELD_MAX = 1e300
+
 
 def require_integer(name: str, value: object, minimum: int) -> int:
     """Refuse a count or seed that is not an integer >= ``minimum``; return it as ``int``.
@@ -124,6 +129,13 @@ class FTable(Mapping):
         return repr(self._table)
 
 
+#: The drift table of each ``f_mode`` name a sweep document and ``--f-mode`` use.
+F_TABLES = {
+    "zero": FTable(zero_f_table()),
+    "constant_table": FTable(f_table_from_weights(*RATING_DRIFT_WEIGHTS)),
+}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All scalar inputs of one model configuration.
@@ -174,10 +186,8 @@ class ModelParams:
             raise ValueError(f"f_table values must be finite, got {dict(self.f_table)}")
         table = FTable({move: float(f) for move, f in self.f_table.items()})
         object.__setattr__(self, "f_table", table)
-        # the cap meanfield puts on beta: every field and heat-bath exponent
-        # then stays some 8 orders of magnitude below inf
         field_bound = (self.n_firms - 1) * (abs(self.j0) + 10 * self.sigma_j)
-        if max(field_bound, *(abs(f) for f in table.values())) > 1e300:
+        if max(field_bound, *(abs(f) for f in table.values())) > FIELD_MAX:
             raise ValueError(f"(n_firms - 1) * (|j0| + 10 * sigma_j) and each |f| must be "
                              f"at most 1e300, got {field_bound:g} and f_table={dict(table)}")
 

@@ -1,9 +1,13 @@
-"""Seeded ensemble execution, parameter sweeps and CSV/JSON emission.
+"""Seeded ensemble execution, parameter sweeps, CSV/JSON emission and presets.
 
 Reproducibility contract: every realization gets its own child of the master
-``SeedSequence`` (realization k of sweep value i is child k of child i), so
-results are independent of scheduling and of the worker count.  Aggregation
-walks realizations in index order, making whole sweep outputs bit-stable.
+``SeedSequence`` (realization k of sweep value i is child k of child i, both
+levels built by one helper that advances no sequence), so results are
+independent of scheduling and of the worker count.  Aggregation walks
+realizations in index order, making whole sweep outputs bit-stable.
+
+A sweep document and a preset name their drift by ``f_mode``, a key of
+``core.F_TABLES``, which holds each name's table.
 """
 
 from __future__ import annotations
@@ -25,15 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (
-    RATING_DRIFT_WEIGHTS,
-    ModelParams,
-    f_table_from_weights,
-    require_integer,
-    run_realization,
-    seed_sequence,
-    zero_f_table,
-)
+from .core import F_TABLES, ModelParams, require_integer, run_realization, seed_sequence
 from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
 
@@ -67,7 +63,8 @@ class SweepSpec:
 
     @property
     def f_mode(self) -> str:
-        """``"zero"`` when every drift value is 0, else ``"constant_table"``."""
+        """``"zero"`` when every drift value is 0, else ``"constant_table"``;
+        :data:`core.F_TABLES` holds the table of each name."""
         if all(f == 0.0 for f in self.base.f_table.values()):
             return "zero"
         return "constant_table"
@@ -129,16 +126,18 @@ def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
     return run_realization(params, seed_seq).nd
 
 
+def _child(seed: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
+    """Child k of ``seed``: what ``seed.spawn`` gives as its k-th child on a
+    fresh sequence, without advancing ``seed``."""
+    return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k),
+                                  pool_size=seed.pool_size)
+
+
 def _realization_tasks(
     params: ModelParams, seed: np.random.SeedSequence, k_realizations: int
 ) -> list[tuple[ModelParams, np.random.SeedSequence]]:
-    """Realization k of the ensemble is seeded with child k of ``seed``, the
-    child ``spawn`` gives a fresh sequence; ``seed`` itself is not advanced."""
-    return [
-        (params, np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k),
-                                        pool_size=seed.pool_size))
-        for k in range(k_realizations)
-    ]
+    """Realization k of the ensemble is seeded with child k of ``seed``."""
+    return [(params, _child(seed, k)) for k in range(k_realizations)]
 
 
 def _value_outcomes(
@@ -234,10 +233,10 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """
     require_integer("threads", threads, 1)
     started = time.perf_counter()
-    value_seeds = np.random.SeedSequence(spec.master_seed).spawn(len(spec.values))
+    master = np.random.SeedSequence(spec.master_seed)
     task_lists = [
-        _realization_tasks(spec.params_at(value), seed, spec.k_realizations)
-        for value, seed in zip(spec.values, value_seeds)
+        _realization_tasks(spec.params_at(value), _child(master, index), spec.k_realizations)
+        for index, value in enumerate(spec.values)
     ]
     points: list[SweepPoint] = []
     failed: dict[str, str] = {}
@@ -466,20 +465,20 @@ def write_payload(chunks: Iterable[str], path: str | Path | None) -> None:
 _DEFAULT_PRESET_SEED = 20_260_809
 
 # the transition sweep: mean defaults and semivariance across it, f == 0
-_TRANSITION = (0.001, False, lambda n: np.linspace(0.0, 0.008, 17))
+_TRANSITION = (0.001, "zero", lambda n: np.linspace(0.0, 0.008, 17))
 
-#: name -> (sigma_j, drift on, j0 grid as a function of N)
+#: name -> (sigma_j, f_mode, j0 grid as a function of N)
 _PRESETS = {
     # weak-coupling default-count distribution
-    "fig1": (0.001, False, lambda n: [0.0001]),
+    "fig1": (0.001, "zero", lambda n: [0.0001]),
     # strong-coupling (collective) default-count distribution
-    "fig2": (0.001, False, lambda n: [0.02]),
+    "fig2": (0.001, "zero", lambda n: [0.02]),
     "fig3-4": _TRANSITION,
     "fig5": _TRANSITION,
     # the transition sweep in the strong-disorder (glass) regime
-    "fig6-7": (0.2, False, lambda n: np.linspace(0.0, 0.02, 11)),
+    "fig6-7": (0.2, "zero", lambda n: np.linspace(0.0, 0.02, 11)),
     # drift-field case: j0 * N in [0, 40]
-    "fig8-9": (0.001, True, lambda n: np.linspace(0.0, 40.0, 21) / n),
+    "fig8-9": (0.001, "constant_table", lambda n: np.linspace(0.0, 40.0, 21) / n),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -501,10 +500,9 @@ def preset_spec(
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
-    sigma_j, drift, grid = _PRESETS[name]
-    f_table = f_table_from_weights(*RATING_DRIFT_WEIGHTS) if drift else zero_f_table()
+    sigma_j, f_mode, grid = _PRESETS[name]
     return SweepSpec(
-        base=ModelParams(n_firms=n_firms, sigma_j=sigma_j, f_table=f_table),
+        base=ModelParams(n_firms=n_firms, sigma_j=sigma_j, f_table=F_TABLES[f_mode]),
         values=tuple(float(v) for v in np.round(grid(n_firms), 12)),
         k_realizations=k_realizations,
         master_seed=master_seed,

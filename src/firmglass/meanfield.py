@@ -63,7 +63,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import R_MAX, STEPS, ModelParams, heat_bath_weights, require_integer
+from .core import FIELD_MAX, R_MAX, STEPS, ModelParams, heat_bath_weights, require_integer
 
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
@@ -73,14 +73,13 @@ _SIMPLEX_TOL = 1e-9
 _BLOCK_FLOATS = 1 << 15  # 256 KiB of matrix stack per block: 512 pairs at R_MAX
 
 _EXP_CAP = 709.0  # exp() of a larger exponent overflows a float
-# above ~2.74e307 the capped g stays negative at its maximum, and the
-# ordered and saddle roots would be lost
-_BETA_MAX = 1e300
 
 
 def _require_beta(beta: float) -> None:
-    if not 0 <= beta <= _BETA_MAX:  # NaN fails the comparison
-        raise ValueError(f"beta must be in [0, {_BETA_MAX:g}], got {beta}")
+    # above ~2.74e307 the capped g stays negative at its maximum, and the
+    # ordered and saddle roots would be lost
+    if not 0 <= beta <= FIELD_MAX:  # NaN fails the comparison
+        raise ValueError(f"beta must be in [0, {FIELD_MAX:g}], got {beta}")
 
 
 def _require_simplex(prob_up: float, prob_down: float) -> None:
@@ -314,8 +313,10 @@ def _transition_template(r_max: int) -> np.ndarray:
 
 
 def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.ndarray:
-    """Stack of one-move rating transition matrices, one per (up, down) pair,
-    gathered from each pair's six distinct entries; the callers check r_max."""
+    """Stack of a lone firm's one-move rating transition matrices, one per
+    (up, down) pair: up, down or stay; state 0 absorbs and an up-move at
+    r_max reflects.  Gathered from each pair's six distinct entries; the
+    callers check the pairs and r_max."""
     values = np.empty((len(ups), 6))
     columns = values.T
     columns[0] = 0.0
@@ -346,19 +347,6 @@ def _default_fractions(
         evolved[:, 1:, 0].sum(axis=1, out=levels[start:stop])
     levels /= r_max  # the mean over start classes, divided as ndarray.mean does
     return levels
-
-
-def rating_transition_matrix(
-    prob_up: float, prob_down: float, r_max: int = R_MAX
-) -> np.ndarray:
-    """(r_max + 1)-state one-move transition matrix of a lone firm's rating.
-
-    Up with prob_up, down with prob_down, stay otherwise; state 0 absorbs,
-    an up-move at r_max reflects (the firm stays put).
-    """
-    _require_simplex(prob_up, prob_down)
-    require_integer("r_max", r_max, 1)
-    return _transition_matrices(np.array([prob_up]), np.array([prob_down]), r_max)[0]
 
 
 def default_fraction_markov(

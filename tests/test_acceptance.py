@@ -1,12 +1,14 @@
 """Acceptance suite: the package's quantitative exit checks.
 
 Each test prints one ``ACCEPTANCE n: PASS/FAIL`` line.  Ensemble checks run
-at the published scale (N=1000, K >= 100); the whole module takes a few
-minutes on one core.  Everything is seeded, so results reproduce bit for
-bit.
+at the published scale (N=1000, K >= 100), one worker per core this
+process may use; the whole module takes a few minutes.  Everything is
+seeded, and the seed tree makes every value independent of the worker
+count (check 09), so results reproduce bit for bit.
 """
 
 import csv
+import os
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -42,6 +44,8 @@ from firmglass.meanfield import (
 ARTIFACTS = Path(__file__).resolve().parents[1] / "artifacts"
 
 PARAMAGNETIC_LEVEL = 0.202
+
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def report(number: int, label: str, ok: bool, detail: str) -> None:
@@ -135,7 +139,7 @@ def test_03_meanfield_bifurcation():
 
 def test_04_weak_coupling_ensemble():
     params = ModelParams(n_firms=1000, j0=0.0001, sigma_j=0.001)
-    stats = run_ensemble(params, 200, master_seed=104)
+    stats = run_ensemble(params, 200, master_seed=104, threads=WORKERS)
     mean_frac = stats.mean_nd / params.n_firms
     heavy_tail = fraction_between(stats.nd_values, 501, params.n_firms)
     unimodal = is_unimodal(stats.nd_values, bin_width=50)
@@ -151,7 +155,7 @@ def test_04_weak_coupling_ensemble():
 
 def test_05_strong_coupling_ensemble():
     params = ModelParams(n_firms=1000, j0=0.02, sigma_j=0.001)
-    stats = run_ensemble(params, 200, master_seed=105)
+    stats = run_ensemble(params, 200, master_seed=105, threads=WORKERS)
     mean_frac = stats.mean_nd / params.n_firms
     high = fraction_between(stats.nd_values, 800, 1000)
     low = fraction_between(stats.nd_values, 0, 500)
@@ -173,11 +177,11 @@ def test_06_semivariance_jump():
     j_critical = 3.0 / n
     quiet = run_ensemble(
         ModelParams(n_firms=n, j0=0.1 * j_critical, sigma_j=0.001), 200,
-        master_seed=106,
+        master_seed=106, threads=WORKERS,
     )
     loud = run_ensemble(
         ModelParams(n_firms=n, j0=2.0 * j_critical, sigma_j=0.001), 200,
-        master_seed=1106,
+        master_seed=1106, threads=WORKERS,
     )
     ratio = loud.semivariance_plus / quiet.semivariance_plus
     ok = loud.semivariance_plus >= 10.0 * quiet.semivariance_plus
@@ -201,7 +205,7 @@ def test_07_drift_field_optimum():
         k_realizations=k,
         master_seed=107,
     )
-    result = run_sweep(spec)
+    result = run_sweep(spec, threads=WORKERS)
     argmin_j0n = j0n_grid[result.argmin_index]
     var_at_min = result.points[result.argmin_index].stats.semivariance_plus
     var_at_top = result.points[-1].stats.semivariance_plus
@@ -219,7 +223,7 @@ def glass_sweep():
         k_realizations=150,
         master_seed=108,
     )
-    return run_sweep(spec)
+    return run_sweep(spec, threads=WORKERS)
 
 
 def test_08a_strong_disorder_transition():

@@ -16,8 +16,8 @@ import pytest
 import firmglass
 from firmglass import cli as cli_module
 from firmglass.cli import cli
-from firmglass.core import RATING_DRIFT_WEIGHTS, f_table_from_weights
-from firmglass.experiment import result_from_json
+from firmglass.core import F_TABLES, RATING_DRIFT_WEIGHTS, f_table_from_weights, zero_f_table
+from firmglass.experiment import preset_spec, result_from_json
 from firmglass.meanfield import default_fraction_closed_form
 
 DESK = ["--n", "50", "--k", "4", "--seed", "1"]
@@ -71,13 +71,17 @@ def test_run_writes_file(tmp_path, capsys):
 
 
 def test_run_constant_table_mode(capsys):
-    code, out, _ = run_cli(capsys, "run", *DESK, "--f-mode", "constant_table")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["f_mode"] == "constant_table"
-    table = doc["base_params"]["f_table"]
-    assert {int(move): f for move, f in table.items()} == f_table_from_weights(
-        *RATING_DRIFT_WEIGHTS)
+    tables = {}
+    for name in F_TABLES:
+        code, out, _ = run_cli(capsys, "run", *DESK, "--f-mode", name)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["f_mode"] == name
+        tables[name] = {int(move): f for move, f in doc["base_params"]["f_table"].items()}
+        assert tables[name] == F_TABLES[name]
+    assert tables["zero"] == zero_f_table()
+    assert tables["constant_table"] == f_table_from_weights(*RATING_DRIFT_WEIGHTS)
+    assert preset_spec("fig8-9").base.f_table == tables["constant_table"]
 
 
 # the portfolio and the drift weights are the paper's; no flag sets them

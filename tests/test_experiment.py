@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from firmglass.core import ModelParams, f_table_from_weights, run_realization
+from firmglass.core import F_TABLES, ModelParams, f_table_from_weights, run_realization
 from firmglass.experiment import (
     CSV_COLUMNS,
     PRESET_NAMES,
@@ -67,6 +67,9 @@ def test_f_mode_is_derived_from_f_table():
     assert desk_spec().f_mode == "zero"
     drift = replace(DESK, f_table=f_table_from_weights(0.15, 0.75, 0.10))
     assert desk_spec(base=drift).f_mode == "constant_table"
+    assert drift.f_table == F_TABLES["constant_table"]
+    for name, table in F_TABLES.items():
+        assert desk_spec(base=replace(DESK, f_table=table)).f_mode == name
     doc = json.loads(result_to_json(run_sweep(desk_spec(k=2))))
     assert doc["f_mode"] == "zero"
     doc["f_mode"] = "constant_table"

@@ -17,6 +17,7 @@ from firmglass.meanfield import (
     _closed_form_values,
     _default_fractions,
     _deviation_grid_rows,
+    _transition_matrices,
     closed_form_deviation_grid,
     critical_beta,
     default_fraction_closed_form,
@@ -25,7 +26,6 @@ from firmglass.meanfield import (
     mean_field_map,
     ordered_phase_default_fraction,
     predict_phase,
-    rating_transition_matrix,
     transition_beta,
 )
 
@@ -422,16 +422,12 @@ def test_predict_phase_reference_points():
 
 
 def test_transition_matrix_structure():
-    matrix = rating_transition_matrix(0.2, 0.3, r_max=7)
+    matrix = _transition_matrices(np.array([0.2]), np.array([0.3]), 7)[0]
     assert matrix.shape == (8, 8)
     np.testing.assert_allclose(matrix.sum(axis=1), np.ones(8), rtol=0, atol=1e-12)
     assert matrix[0, 0] == 1.0
     assert matrix[7, 7] == 1.0 - 0.3  # up-move at the top reflects into staying
     assert np.all(matrix >= 0)
-    with pytest.raises(ValueError):
-        rating_transition_matrix(0.8, 0.3)
-    with pytest.raises(ValueError):
-        rating_transition_matrix(-0.1, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -442,10 +438,12 @@ def test_transition_matrix_structure():
         lambda: default_fraction_markov(0.2, 0.2, r_max=0),
         lambda: default_fraction_markov(0.2, 0.2, steps=2.5),
         lambda: default_fraction_markov(0.2, 0.2, steps=-1),
-        lambda: rating_transition_matrix(0.1, math.nan),
+        lambda: default_fraction_markov(0.1, math.nan),
+        lambda: default_fraction_markov(0.8, 0.3),
+        lambda: default_fraction_markov(-0.1, 0.3),
     ],
     ids=["nan-up", "bool-r_max", "zero-r_max", "fractional-steps", "negative-steps",
-         "nan-down"],
+         "nan-down", "sum-above-1", "negative-up"],
 )
 def test_chain_refuses_bad_input(call):
     with pytest.raises(ValueError):
@@ -507,7 +505,7 @@ def test_markov_mass_conservation():
     for _ in range(50):
         p = float(rng.uniform(0, 1))
         q = float(rng.uniform(0, 1 - p))
-        matrix = rating_transition_matrix(p, q)
+        matrix = _transition_matrices(np.array([p]), np.array([q]), R_MAX)[0]
         evolved = np.linalg.matrix_power(matrix, 8)
         survival = evolved[1:, 1:].sum(axis=1).mean()
         defaulted = default_fraction_markov(p, q)
@@ -549,6 +547,19 @@ def test_closed_form_matches_markov_at_anchors():
         markov = default_fraction_markov(p_up, q_down)
         closed = default_fraction_closed_form(q_down, p_up)
         assert abs(markov - closed) <= 5e-3
+
+
+def test_closed_form_equals_the_chain_only_where_stay_equals_up():
+    # the chain minus the printed polynomial is d * (d + 2u - 1) * Q(d, u),
+    # so the two agree on the line stay = up, d = 1 - 2u, and not off it
+    for p_up in np.linspace(0.0, 0.5, 501).tolist():
+        q_down = 1.0 - 2.0 * p_up
+        markov = default_fraction_markov(p_up, q_down)
+        assert abs(markov - default_fraction_closed_form(q_down, p_up)) <= 1e-15
+    markov, closed = default_fraction_markov(0.0, 0.5), default_fraction_closed_form(0.5, 0.0)
+    assert markov == pytest.approx(0.5709, abs=1e-4)
+    assert closed == pytest.approx(0.2606, abs=1e-4)
+    assert markov - closed > 0.1
 
 
 def test_ordered_phase_average():
@@ -657,7 +668,7 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
         points.append((p, float(rng.uniform(0, 1 - p))))
     for index, (p, q) in enumerate(points):
         steps, r_max = (STEPS, R_MAX) if index % 2 else (index % 13, 1 + index % 12)
-        matrix = rating_transition_matrix(p, q, r_max)
+        matrix = _transition_matrices(np.array([p]), np.array([q]), r_max)[0]
         assert bits(matrix.ravel().tolist()) == bits(
             reference_transition_matrix(p, q, r_max).ravel().tolist()
         )
