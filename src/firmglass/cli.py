@@ -13,6 +13,10 @@ the sweep and writes the output.  The input rules live in the modules that
 own them and raise ``ValueError``; one raised while building is a
 configuration error.
 
+run, sweep and reproduce use every CPU the process may run on unless
+``--threads`` says otherwise (the library default is 1 worker); the output
+does not depend on the count.
+
 Data goes to stdout (or --out); progress and timing go to stderr.
 Exit codes: 0 success, 1 configuration error (raised while building, before
 any output), 2 runtime failure (anything else).
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 
@@ -68,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble = _flags()
     ensemble.add_argument("--n", type=int, default=1000, help="number of firms")
     ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
-    ensemble.add_argument("--threads", type=int, default=1, help="parallel workers")
+    ensemble.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
+                          help="parallel workers (default: the CPUs this process may use)")
     drift = _flags()
     drift.add_argument("--f-mode", choices=tuple(F_TABLES), default="zero",
                        help="drift term: off, or the per-move weights 0.15/0.75/0.10")

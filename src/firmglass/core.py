@@ -23,12 +23,13 @@ Conventions the rest of the package relies on:
 
 One engine, :func:`advance`, runs every micro-update: ``time_step`` feeds
 it a whole step's firm order and uniforms, ``micro_update`` a single firm.
-It is written for the interpreter: it reads the state element by element
-as Python floats and ints, and runs a vectorized numpy operation only to
-add and subtract a coupling row when a move flips.  The field cache is
+It is written for the interpreter: it reads the moves, the ratings and
+each field-cache column through memoryviews, one item at a time as Python
+ints and floats, and runs a vectorized numpy operation only to add and
+subtract a coupling row when a move flips.  The field cache is
 column-major, so each move's column is contiguous and a flip is two
-contiguous in-place adds; a C-ordered cache gives the same bits, only more
-slowly.
+contiguous in-place adds; a C-ordered cache gives the same bits through
+strided views, only more slowly.
 The heat-bath weights come from :func:`heat_bath_weights`, which
 :func:`conditional_spin_distribution` and the mean-field map use too, so
 the probabilities the dynamics samples are exactly the ones that function
@@ -324,17 +325,19 @@ def advance(
 
     ``order`` and ``uniforms`` are best passed as lists of Python ints and
     floats: the loop runs in the interpreter, where numpy scalars are slow.
+    For the same reason it reads the moves, the ratings and the three
+    field-cache columns through memoryviews built once per call; they share
+    the arrays' memory, so they see each flip's in-place column updates.
     """
     f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)
     r_max = params.r_max
     spins, ratings = memoryview(state.spins), memoryview(state.ratings)
     fields = state.local_fields
-    field_row = fields.__getitem__
     columns = (fields[:, 0], fields[:, 1], fields[:, 2])
+    down, stay, up = map(memoryview, columns)
     subtract, add = np.subtract, np.add
     for firm, u in zip(order, uniforms):
-        h_down, h_stay, h_up = field_row(firm).tolist()
-        ea, eb, ec = heat_bath_weights(h_down + f_down, h_stay + f_stay, h_up + f_up)
+        ea, eb, ec = heat_bath_weights(down[firm] + f_down, stay[firm] + f_stay, up[firm] + f_up)
         z = ea + eb + ec
         p_down = ea / z
         if u < p_down:

@@ -141,22 +141,21 @@ def _realization_tasks(
 
 
 def _value_outcomes(
-    task_lists: list[list[tuple[ModelParams, np.random.SeedSequence]]], threads: int
+    task_lists: list[list[tuple[ModelParams, np.random.SeedSequence]]], workers: int
 ) -> Iterator[tuple[int, list[int] | Exception]]:
     """Yield (value index, ND values or the error that failed it) in index order.
 
-    One loop runs every value on ``min(threads, realizations)`` workers: one
-    worker maps each value in this process; several share one fork-context
-    pool, whose ``map`` takes every value's realizations up front, value-major,
-    in chunks of about ``len(tasks) / (4 * workers)``, while the values are
-    collected in order.  A ``MemoryError`` fails its own value.  A dead
-    worker breaks the pool and every pending future with it, so the value
-    being collected is re-run alone on a fresh pool and fails only if it
-    breaks that one too; every value not yet collected is then re-run on a
-    fresh pool.  Close the generator to stop early: queued chunks are
-    cancelled instead of run.
+    One loop runs every value on ``workers`` workers, which the callers cap
+    at the number of realizations: one worker maps each value in this
+    process; several share one fork-context pool, whose ``map`` takes every
+    value's realizations up front, value-major, in chunks of about
+    ``len(tasks) / (4 * workers)``, while the values are collected in order.
+    A ``MemoryError`` fails its own value.  A dead worker breaks the pool
+    and every pending future with it, so the value being collected is
+    re-run alone on a fresh pool and fails only if it breaks that one too;
+    every value not yet collected is then re-run on a fresh pool.  Close the
+    generator to stop early: queued chunks are cancelled instead of run.
     """
-    workers = min(threads, sum(len(tasks) for tasks in task_lists))
     remaining = list(range(len(task_lists)))
     alone = False
     while remaining:
@@ -210,7 +209,7 @@ def run_ensemble(
     require_integer("threads", threads, 1)
     root = seed_sequence("master_seed", master_seed)
     tasks = _realization_tasks(params, root, k_realizations)
-    [(_, outcome)] = _value_outcomes([tasks], threads)
+    [(_, outcome)] = _value_outcomes([tasks], min(threads, k_realizations))
     if isinstance(outcome, Exception):
         raise outcome
     return ensemble_stats(outcome)
@@ -225,11 +224,12 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
     Every value's realizations share one worker pool.  As each value is
-    collected, one ``[firmglass] sweep i/n j0=... done`` line (``failed``
-    for a lost value) goes to stderr.  A value that exhausts memory or
-    loses a worker process is recorded under metadata["failed_values"] and
-    skipped; the remaining values are unaffected.  A thread count that is
-    not an integer >= 1 raises ``ValueError`` before any work.
+    collected, one ``[firmglass] sweep i/n j0=... workers=w done`` line
+    (``failed`` for a lost value) goes to stderr; w is ``threads``, capped at
+    the sweep's realizations.  A value that exhausts memory or loses a worker
+    process is recorded under metadata["failed_values"] and skipped; the
+    remaining values are unaffected.  A thread count that is not an integer
+    >= 1 raises ``ValueError`` before any work.
     """
     require_integer("threads", threads, 1)
     started = time.perf_counter()
@@ -238,15 +238,16 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
         _realization_tasks(spec.params_at(value), _child(master, index), spec.k_realizations)
         for index, value in enumerate(spec.values)
     ]
+    workers = min(threads, len(spec.values) * spec.k_realizations)
     points: list[SweepPoint] = []
     failed: dict[str, str] = {}
-    with closing(_value_outcomes(task_lists, threads)) as outcomes:
+    with closing(_value_outcomes(task_lists, workers)) as outcomes:
         for index, outcome in outcomes:
             value = spec.values[index]
             lost = isinstance(outcome, Exception)
             print(
                 f"[firmglass] sweep {index + 1}/{len(spec.values)} "
-                f"j0={value:g} {'failed' if lost else 'done'}",
+                f"j0={value:g} workers={workers} {'failed' if lost else 'done'}",
                 file=sys.stderr,
                 flush=True,
             )

@@ -119,6 +119,16 @@ def test_sweep_runs_and_reports_argmin(capsys):
     assert doc["argmin_index"] in (0, 1, 2)
 
 
+def test_threads_default_to_the_usable_cpus(capsys):
+    # the library default is 1 worker; the command line uses every CPU this
+    # process may run on, capped at the sweep's realizations
+    cpus = len(os.sched_getaffinity(0))
+    assert cli_module.build_parser().parse_args(["run"]).threads == cpus
+    code, _, err = run_cli(capsys, "run", "--n", "30", "--k", "8", "--seed", "3")
+    assert code == 0
+    assert err.splitlines() == [f"[firmglass] sweep 1/1 j0=0 workers={min(cpus, 8)} done"]
+
+
 def test_sweep_invalid_range_exits_one(capsys):
     code, _, err = run_cli(capsys, "sweep", *DESK, "--j0-min", "0", "--j0-max", "-1")
     assert code == 1

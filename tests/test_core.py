@@ -1,6 +1,7 @@
 """Tests for the single-realization state and dynamics."""
 
 import hashlib
+import json
 import math
 import pickle
 
@@ -378,6 +379,7 @@ def test_run_realization_takes_only_a_reproducible_seed():
 
 
 def digest(values):
+    """The ND digest of perfbench/workloads.py."""
     return hashlib.sha256(",".join(str(int(v)) for v in values).encode()).hexdigest()[:16]
 
 
@@ -420,6 +422,17 @@ def test_seed_oracle():
 def test_published_scale_ensemble_digest(j0, sigma_j, expected):
     params = ModelParams(n_firms=1000, j0=j0, sigma_j=sigma_j)
     assert digest(experiment.run_ensemble(params, 4, 2009).nd_values) == expected
+
+
+def test_published_drift_sweep_digest(capsys):
+    # the regression oracle of the benchmark's sweep workload
+    # (perfbench/golden.json): every ND of `reproduce fig8-9` at N = 300,
+    # K = 2, seed 2009 on 2 workers, in value order
+    argv = ["reproduce", "fig8-9", "--n", "300", "--k", "2", "--threads", "2", "--seed", "2009"]
+    assert cli.cli(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    nd_values = [nd for point in doc["points"] for nd in point["nd_values"]]
+    assert digest(nd_values) == "38608684009f72ce"
 
 
 def test_field_cache_layout_changes_only_speed():

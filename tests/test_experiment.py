@@ -300,11 +300,11 @@ def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch, capsys):
         assert [point.sweep_value for point in result.points] == [0.0, 0.004]
         assert list(result.metadata["failed_values"]) == ["0.002"]
         assert result.argmin_index is not None
-        # one progress line per value, in value order
+        # one progress line per value, in value order, naming the worker count
         assert capsys.readouterr().err.splitlines() == [
-            "[firmglass] sweep 1/3 j0=0 done",
-            "[firmglass] sweep 2/3 j0=0.002 failed",
-            "[firmglass] sweep 3/3 j0=0.004 done",
+            f"[firmglass] sweep 1/3 j0=0 workers={threads} done",
+            f"[firmglass] sweep 2/3 j0=0.002 workers={threads} failed",
+            f"[firmglass] sweep 3/3 j0=0.004 workers={threads} done",
         ]
 
 
