@@ -24,7 +24,6 @@ from .experiment import (
     SweepSpec,
     emit,
     preset_spec,
-    result_from_json,
     result_to_json,
     run_ensemble,
     run_sweep,
@@ -73,7 +72,6 @@ __all__ = [
     "ordered_phase_default_fraction",
     "predict_phase",
     "preset_spec",
-    "result_from_json",
     "result_to_json",
     "run_ensemble",
     "run_realization",

@@ -6,8 +6,9 @@ levels built by one helper that advances no sequence), so results are
 independent of scheduling and of the worker count.  Aggregation walks
 realizations in index order, making whole sweep outputs bit-stable.
 
-A sweep document and a preset name their drift by ``f_mode``, a key of
-``core.F_TABLES``, which holds each name's table.
+A preset names its drift by a key of ``core.F_TABLES``, which holds each
+name's table; a sweep document's ``f_mode`` is the name of its table there,
+or null for any other table.
 """
 
 from __future__ import annotations
@@ -62,12 +63,9 @@ class SweepSpec:
             self.params_at(value)  # a value the model refuses is refused here
 
     @property
-    def f_mode(self) -> str:
-        """``"zero"`` when every drift value is 0, else ``"constant_table"``;
-        :data:`core.F_TABLES` holds the table of each name."""
-        if all(f == 0.0 for f in self.base.f_table.values()):
-            return "zero"
-        return "constant_table"
+    def f_mode(self) -> str | None:
+        """The :data:`core.F_TABLES` name of the drift table, else ``None``."""
+        return next((name for name, table in F_TABLES.items() if table == self.base.f_table), None)
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base, j0=value)
@@ -89,7 +87,8 @@ class SweepResult:
     ``spec.base.n_firms`` (else ``ValueError``).
     ``metadata`` carries the package version, wall time and any values that
     failed on resource exhaustion; everything needed to reproduce the run
-    bit-identically lives in ``spec``.
+    bit-identically lives in ``spec``.  :func:`result_to_json` writes the
+    result as a JSON document, which ``json.load`` reads as plain data.
     """
 
     spec: SweepSpec
@@ -215,11 +214,6 @@ def run_ensemble(
     return ensemble_stats(outcome)
 
 
-def _sweep_point(spec: SweepSpec, value: float, nd_values: Sequence[int]) -> SweepPoint:
-    """The point of one sweep value: its ND values' stats and its phase."""
-    return SweepPoint(value, ensemble_stats(nd_values), predict_phase(spec.params_at(value)))
-
-
 def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """Run one ensemble per sweep value and collect stats, phases and argmin.
 
@@ -254,7 +248,8 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
             if lost:
                 failed[repr(value)] = f"{type(outcome).__name__}: {outcome}"
                 continue
-            points.append(_sweep_point(spec, value, outcome))
+            points.append(SweepPoint(value, ensemble_stats(outcome),
+                                     predict_phase(spec.params_at(value))))
     metadata = {
         "package_version": __version__,
         "wall_time_s": time.perf_counter() - started,
@@ -321,81 +316,8 @@ def result_to_dict(result: SweepResult) -> dict:
     }
 
 
-def result_from_dict(doc: dict) -> SweepResult:
-    """Inverse of :func:`result_to_dict`.
-
-    Rebuilds the result from the spec, each point's sweep value and ND
-    values, and the metadata, with the code :func:`run_sweep` uses.  Raises
-    ValueError for a document that lacks a key or has the wrong shape, and
-    for one that is not what :func:`result_to_dict` writes for the rebuilt
-    result, naming every field that differs.
-    """
-    try:
-        return _result_from_dict(doc)
-    except KeyError as exc:
-        raise ValueError(f"sweep document lacks the key {exc}") from exc
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"sweep document has the wrong shape: {exc}") from exc
-
-
-def _result_from_dict(doc: dict) -> SweepResult:
-    params = doc["base_params"]
-    spec = SweepSpec(
-        base=ModelParams(
-            n_firms=params["n_firms"],
-            j0=params["j0"],
-            sigma_j=params["sigma_j"],
-            r_max=params["r_max"],
-            steps=params["steps"],
-            f_table={int(s): f for s, f in params["f_table"].items()},
-        ),
-        values=tuple(doc["values"]),
-        k_realizations=doc["k_realizations"],
-        master_seed=doc["master_seed"],
-    )
-    points = [
-        _sweep_point(spec, entry["sweep_value"], entry["nd_values"])
-        for entry in doc["points"]
-    ]
-    result = SweepResult(spec=spec, points=points, metadata=doc["metadata"])
-    differences = _differences(result_to_dict(result), doc)
-    if differences:
-        raise ValueError("sweep document differs from what its spec and ND values give "
-                         f"at: {', '.join(differences)}")
-    return result
-
-
-def _differences(written: object, doc: object, path: str = "") -> list[str]:
-    """Where ``doc`` departs from ``written``, each place named by its path.
-
-    A leaf differs when its value or its type does: ``true`` or ``1.0``
-    where ``1`` is written would load, then be written back as ``1``.
-    """
-    if isinstance(written, list):
-        # a list rebuilt from the document has its length
-        places = [(f"{path}[{index}]", item, doc[index]) for index, item in enumerate(written)]
-        found = []
-    elif isinstance(written, dict) and isinstance(doc, dict):
-        prefix = f"{path}." if path else ""
-        places = [(prefix + key, item, doc[key]) for key, item in written.items() if key in doc]
-        found = [f"{path or 'the document'} lacks the key {key!r}"
-                 for key in written if key not in doc]
-        found += [prefix + key for key in doc if key not in written]
-    elif type(doc) is type(written) and doc == written:
-        return []
-    else:
-        return [f"{path} has the wrong shape" if isinstance(written, dict) else path]
-    for where, item, entry in places:
-        found += _differences(item, entry, where)
-    return found
-
-
 def result_to_json(result: SweepResult) -> str:
     return json.dumps(result_to_dict(result), indent=2) + "\n"
-
-
-def result_from_json(text: str) -> SweepResult:
-    return result_from_dict(json.loads(text))
 
 
 _CSV_CHUNK_ROWS = 4096

@@ -17,7 +17,7 @@ import firmglass
 from firmglass import cli as cli_module
 from firmglass.cli import cli
 from firmglass.core import F_TABLES, RATING_DRIFT_WEIGHTS, f_table_from_weights, zero_f_table
-from firmglass.experiment import preset_spec, result_from_json
+from firmglass.experiment import preset_spec
 from firmglass.meanfield import default_fraction_closed_form
 
 DESK = ["--n", "50", "--k", "4", "--seed", "1"]
@@ -67,7 +67,9 @@ def test_run_writes_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", *DESK, "--out", str(target))
     assert code == 0
     assert out == ""
-    assert result_from_json(target.read_text()).spec.k_realizations == 4
+    doc = json.loads(target.read_text())
+    assert doc["k_realizations"] == 4
+    assert len(doc["points"][0]["nd_values"]) == 4
 
 
 def test_run_constant_table_mode(capsys):

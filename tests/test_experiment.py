@@ -19,8 +19,6 @@ from firmglass.experiment import (
     SweepSpec,
     emit,
     preset_spec,
-    result_from_dict,
-    result_from_json,
     result_to_csv,
     result_to_json,
     run_ensemble,
@@ -70,11 +68,14 @@ def test_f_mode_is_derived_from_f_table():
     assert drift.f_table == F_TABLES["constant_table"]
     for name, table in F_TABLES.items():
         assert desk_spec(base=replace(DESK, f_table=table)).f_mode == name
-    doc = json.loads(result_to_json(run_sweep(desk_spec(k=2))))
-    assert doc["f_mode"] == "zero"
-    doc["f_mode"] = "constant_table"
-    with pytest.raises(ValueError, match="f_mode"):
-        result_from_dict(doc)
+    signed_zero = replace(DESK, f_table={-1: -0.0, 0: 0.0, 1: 0.0})
+    assert desk_spec(base=signed_zero).f_mode == "zero"
+    # a table that no name holds is written as null, not as a name's table
+    custom = replace(DESK, f_table=f_table_from_weights(0.2, 0.6, 0.2))
+    assert desk_spec(base=custom).f_mode is None
+    for base, f_mode in ((DESK, "zero"), (custom, None)):
+        doc = json.loads(result_to_json(run_sweep(desk_spec(k=2, base=base))))
+        assert doc["f_mode"] == f_mode
 
 
 def test_params_at_replaces_the_swept_variable():
@@ -158,20 +159,44 @@ def test_sweep_records_argmin_and_phases():
     assert result.metadata["wall_time_s"] > 0
 
 
+def test_sweep_result_refuses_points_its_spec_does_not_give():
+    result = run_sweep(desk_spec(values=(0.0, 0.002, 0.004), k=3))
+    first, second, _ = result.points
+    nd_values = first.stats.nd_values
+    for points, problem in (
+        ([second, first], r"points\[1\]\.sweep_value"),
+        ([replace(first, sweep_value=0.5)], r"points\[0\]\.sweep_value"),
+        ([replace(first, stats=ensemble_stats(nd_values[:2]))], "hold k_realizations"),
+        # more defaults than firms
+        ([replace(first, stats=ensemble_stats([999, *nd_values[1:]]))], "at most n_firms"),
+    ):
+        with pytest.raises(ValueError, match=problem):
+            SweepResult(result.spec, points, result.metadata)
+    assert SweepResult(result.spec, [first, second], result.metadata).points == [first, second]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
 
 def test_json_round_trip():
+    # a document parses to the spec it was run from and each point's ND values
     specs = [desk_spec(k=4)]
     specs += [preset_spec(name, n_firms=20, k_realizations=2) for name in PRESET_NAMES]
     for spec in specs:
         result = run_sweep(spec)
-        text = result_to_json(result)
-        restored = result_from_json(text)
-        assert restored == result
-        assert result_to_json(restored) == text
+        doc = json.loads(result_to_json(result))
+        params = doc["base_params"]
+        base = ModelParams(
+            **{name: params[name] for name in ("n_firms", "j0", "sigma_j", "r_max", "steps")},
+            f_table={int(move): f for move, f in params["f_table"].items()},
+        )
+        assert SweepSpec(base, tuple(doc["values"]), doc["k_realizations"],
+                         doc["master_seed"]) == spec
+        assert doc["f_mode"] in F_TABLES and doc["f_mode"] == spec.f_mode
+        assert ([(point["sweep_value"], point["nd_values"]) for point in doc["points"]]
+                == [(point.sweep_value, point.stats.nd_values) for point in result.points])
 
 
 def test_numpy_integers_are_stored_as_int_and_round_trip():
@@ -182,73 +207,12 @@ def test_numpy_integers_are_stored_as_int_and_round_trip():
                   spec.master_seed):
         assert type(value) is int
     result = run_sweep(spec)
-    text = result_to_json(result)
-    assert result_from_json(text) == result
+    doc = json.loads(result_to_json(result))
+    for value in (*(doc["base_params"][name] for name in ("n_firms", "r_max", "steps")),
+                  doc["k_realizations"], doc["master_seed"]):
+        assert type(value) is int
     plain = SweepSpec(ModelParams(n_firms=10, r_max=3, steps=2), (0.0,), 2, 3)
     assert run_sweep(plain).points == result.points
-
-
-def rewrite_first_point(doc, nd_values):
-    """Give the first point these ND values and rewrite every field they derive."""
-    first = doc["points"][0]
-    stats = ensemble_stats(nd_values)
-    first.update(
-        nd_values=stats.nd_values,
-        mean_nd=stats.mean_nd,
-        mean_nd_frac=stats.mean_nd / doc["base_params"]["n_firms"],
-        semivariance_plus=stats.semivariance_plus,
-        histogram={str(b): c for b, c in stats.histogram.items()},
-    )
-    argmin = int(np.argmin([point["mean_nd"] for point in doc["points"]]))
-    doc.update(argmin_index=argmin,
-               argmin_sweep_value=doc["points"][argmin]["sweep_value"])
-
-
-def test_from_dict_refuses_a_document_its_spec_and_nd_values_do_not_give():
-    text = result_to_json(run_sweep(desk_spec(values=(0.0, 0.002, 0.004), k=3)))
-    for edit, field in (
-        (lambda doc: doc.update(sweep_variable="sigma_j"), r"\bsweep_variable\b"),
-        (lambda doc: doc["points"][1].update(bin_width=2), r"points\[1\]\.bin_width"),
-        # a mean and a histogram that the ND values do not give
-        (lambda doc: doc["points"][0].update(nd_values=[4, 4, 7], mean_nd=999.0,
-                                             histogram={"5": 100}),
-         r"points\[0\]\.mean_nd\b.*points\[0\]\.histogram"),
-        (lambda doc: doc["base_params"].update(selection="permutation"), r"\bbase_params\b"),
-        (lambda doc: doc.update(argmin_index=(doc["argmin_index"] + 1) % 3),
-         r"\bargmin_index\b"),
-        (lambda doc: doc["points"][0]["nd_values"].__setitem__(0, 1.5), r"\bnd_values\b"),
-        (lambda doc: doc["points"][1].update(sweep_value=0.5), r"points\[1\]\.sweep_value"),
-        (lambda doc: doc["points"].reverse(), r"points\[1\]\.sweep_value"),
-        (lambda doc: rewrite_first_point(doc, doc["points"][0]["nd_values"][:2]),
-         r"points\[0\]\.nd_values"),
-        # more defaults than firms
-        (lambda doc: rewrite_first_point(doc, [999, *doc["points"][0]["nd_values"][1:]]),
-         r"points\[0\]\.nd_values"),
-        # equal to the 1 written, but of another JSON type
-        (lambda doc: doc["points"][1].update(bin_width=True), r"points\[1\]\.bin_width"),
-        (lambda doc: doc["points"][1].update(bin_width=1.0), r"points\[1\]\.bin_width"),
-    ):
-        doc = json.loads(text)
-        edit(doc)
-        with pytest.raises(ValueError, match=field):
-            result_from_dict(doc)
-
-
-def test_malformed_document_is_refused_with_value_error():
-    text = result_to_json(run_sweep(desk_spec(k=2)))
-    no_mean = json.loads(text)
-    del no_mean["points"][0]["mean_nd"]
-    list_histogram = json.loads(text)
-    list_histogram["points"][0]["histogram"] = [1, 2]
-    scalar_points = {**json.loads(text), "points": 3}
-    for bad, problem in (("{}", "lacks the key 'base_params'"),
-                         ("[]", "wrong shape"),
-                         ("3", "wrong shape"),
-                         (json.dumps(no_mean), "lacks the key 'mean_nd'"),
-                         (json.dumps(list_histogram), "wrong shape"),
-                         (json.dumps(scalar_points), "wrong shape")):
-        with pytest.raises(ValueError, match=problem):
-            result_from_json(bad)
 
 
 def test_csv_layout():
@@ -266,7 +230,7 @@ def test_emit_stdout_and_file(tmp_path, capsys):
     result = run_sweep(desk_spec(k=3))
     emit(result, format="json", path=None)
     captured = capsys.readouterr().out
-    assert result_from_json(captured) == result
+    assert captured == result_to_json(result)
     target = tmp_path / "out.csv"
     emit(result, format="csv", path=target)
     assert target.read_text().startswith("sweep_value,")
