@@ -30,10 +30,12 @@ subtract a coupling row when a move flips.  The field cache is
 column-major, so each move's column is contiguous and a flip is two
 contiguous in-place adds; a C-ordered cache gives the same bits through
 strided views, only more slowly.
-The heat-bath weights come from :func:`heat_bath_weights`, which
-:func:`conditional_spin_distribution` and the mean-field map use too, so
-the probabilities the dynamics samples are exactly the ones that function
-reports, and the mean-field theory applies the same softmax.
+:func:`heat_bath_weights` is the one definition of the heat-bath weights:
+:func:`conditional_spin_distribution` and the mean-field map call it, and
+:func:`advance` runs an inlined copy of its body, which the tests hold to
+it bit for bit, so the probabilities the dynamics samples are exactly the
+ones that function reports, and the mean-field theory applies the same
+softmax.
 """
 
 from __future__ import annotations
@@ -277,15 +279,19 @@ def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float
     """Unnormalized heat-bath weights of three exponents, overflow-guarded.
 
     Returns (exp(a - m), exp(b - m), exp(c - m)) with m the largest
-    exponent, so the weights lie in [0, 1], the largest is exactly 1 and
-    their sum stays finite for any finite field.
+    exponent, so the weights lie in [0, 1] and their sum stays finite for
+    any finite field.  The max is found by ``b > a``, then ``c > b`` or
+    ``c > a``, so a tie goes to the earlier exponent, and its weight is the
+    literal 1.0: for a finite m, m - m is 0.0 and exp(0.0) is exactly 1.0,
+    so skipping that exp changes no bit.  :func:`advance` inlines this body.
     """
-    shift = a
-    if b > shift:
-        shift = b
-    if c > shift:
-        shift = c
-    return math.exp(a - shift), math.exp(b - shift), math.exp(c - shift)
+    if b > a:
+        if c > b:
+            return math.exp(a - c), math.exp(b - c), 1.0
+        return math.exp(a - b), 1.0, math.exp(c - b)
+    if c > a:
+        return math.exp(a - c), math.exp(b - c), 1.0
+    return 1.0, math.exp(b - a), math.exp(c - a)
 
 
 def conditional_spin_distribution(
@@ -294,8 +300,8 @@ def conditional_spin_distribution(
     """Heat-bath conditional (P(-1), P(0), P(+1)) for one firm's move.
 
     P(v) is proportional to exp(h(v) + f(v)) with h read from the field
-    cache.  The weights come from :func:`heat_bath_weights`, the same helper
-    :func:`advance` samples from.
+    cache.  The weights come from :func:`heat_bath_weights`, whose body
+    :func:`advance` inlines, so the dynamics samples exactly these.
     """
     h_down, h_stay, h_up = state.local_fields[firm].tolist()
     ea, eb, ec = heat_bath_weights(
@@ -335,9 +341,18 @@ def advance(
     fields = state.local_fields
     columns = (fields[:, 0], fields[:, 1], fields[:, 2])
     down, stay, up = map(memoryview, columns)
-    subtract, add = np.subtract, np.add
+    subtract, add, exp = np.subtract, np.add, math.exp
     for firm, u in zip(order, uniforms):
-        ea, eb, ec = heat_bath_weights(down[firm] + f_down, stay[firm] + f_stay, up[firm] + f_up)
+        a, b, c = down[firm] + f_down, stay[firm] + f_stay, up[firm] + f_up
+        if b > a:  # heat_bath_weights, inlined: it saves a call per update
+            if c > b:
+                ea, eb, ec = exp(a - c), exp(b - c), 1.0
+            else:
+                ea, eb, ec = exp(a - b), 1.0, exp(c - b)
+        elif c > a:
+            ea, eb, ec = exp(a - c), exp(b - c), 1.0
+        else:
+            ea, eb, ec = 1.0, exp(b - a), exp(c - a)
         z = ea + eb + ec
         p_down = ea / z
         if u < p_down:
@@ -354,9 +369,10 @@ def advance(
             column = columns[new + 1]
             add(column, row, column)
             spins[firm] = new
-        rating = ratings[firm]
-        if rating != 0 and (rating != r_max or new != 1):
-            ratings[firm] = rating + new
+        if new:  # a stay leaves the rating as it is
+            rating = ratings[firm]
+            if rating != 0 and (rating != r_max or new != 1):
+                ratings[firm] = rating + new
 
 
 def micro_update(

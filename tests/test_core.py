@@ -1,6 +1,8 @@
 """Tests for the single-realization state and dynamics."""
 
+import collections
 import hashlib
+import itertools
 import json
 import math
 import pickle
@@ -10,11 +12,14 @@ import pytest
 
 from firmglass import cli, core, experiment, meanfield, riskstats
 from firmglass.core import (
+    F_TABLES,
+    SPIN_VALUES,
     EnsembleState,
     ModelParams,
     advance,
     compute_local_fields,
     conditional_spin_distribution,
+    draw_update_order,
     f_table_from_weights,
     initial_state,
     micro_update,
@@ -224,6 +229,30 @@ def test_conditional_overflow_guard():
         probs = conditional_spin_distribution(state, 0, zero_f_table())
         assert abs(float(probs.sum()) - 1.0) <= 1e-12
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
+
+
+def three_exp_weights(a, b, c):
+    """The max-shift softmax with one exp per exponent, as the package first
+    wrote it: the reference that ``heat_bath_weights`` equals bit for bit."""
+    shift = a
+    if b > shift:
+        shift = b
+    if c > shift:
+        shift = c
+    return math.exp(a - shift), math.exp(b - shift), math.exp(c - shift)
+
+
+def test_heat_bath_weights_equal_the_three_exp_softmax_bit_for_bit():
+    # the product covers each argmax position, every two-way tie, the
+    # three-way tie, both signed zeros and magnitudes up to FIELD_MAX
+    values = (-core.FIELD_MAX, -1e6, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.5, 1.0, 745.0, 1e6,
+              core.FIELD_MAX)
+    rng = np.random.default_rng(19)
+    spread = rng.uniform(-1.0, 1.0, size=(2000, 3)) * 10.0 ** rng.uniform(-3, 300, size=(2000, 1))
+    triples = [*itertools.product(values, repeat=3), *map(tuple, spread.tolist())]
+    for triple in triples:
+        got = [w.hex() for w in core.heat_bath_weights(*triple)]
+        assert got == [w.hex() for w in three_exp_weights(*triple)], triple
 
 
 # ---------------------------------------------------------------------------
@@ -465,21 +494,101 @@ def test_advance_thresholds_match_conditional_distribution():
     # conditional_spin_distribution reports them, to the last bit: a uniform
     # equal to a threshold already takes the next move
     rng = np.random.default_rng(16)
-    params = ModelParams(n_firms=1, f_table=f_table_from_weights(0.15, 0.75, 0.10))
+    # magnitudes from 1e-2 to 1e6, so some distributions are spread out and
+    # some put all mass on one move
+    spread = [rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.uniform(-2, 6) for _ in range(2000)]
+    # fields on a lattice, where exponents tie exactly under the zero table
+    lattice = [np.array(point) * scale for scale in (0.25, 1.0, 3.0)
+               for point in itertools.product(range(-2, 3), repeat=3)]
     couplings = np.zeros((1, 1))
     state = make_state(couplings, [3], [0])
-    for _ in range(2000):
-        # magnitudes from 1e-2 to 1e6, so some distributions are spread out
-        # and some put all mass on one move
-        state.local_fields[0] = rng.uniform(-1.0, 1.0, size=3) * 10.0 ** rng.uniform(-2, 6)
-        probs = conditional_spin_distribution(state, 0, params.f_table)
-        p_down, p_down_or_stay = float(probs[0]), float(probs[0] + probs[1])
-        for threshold in (p_down, p_down_or_stay):
-            for u in (np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf)):
-                expected = -1 if u < p_down else 0 if u < p_down_or_stay else 1
-                state.ratings[0] = 3
-                advance(state, couplings, params, (0,), (float(u),))
-                assert state.spins[0] == expected, (state.local_fields[0], probs, u)
+    # advance's inlined weights branch on b > a, then c > b or c > a; count
+    # which branch each lattice input takes and whether its exponents tie
+    branches = collections.Counter()
+    for f_mode, fields in (("constant_table", spread), ("zero", lattice),
+                           ("constant_table", lattice)):
+        params = ModelParams(n_firms=1, f_table=F_TABLES[f_mode])
+        for h in fields:
+            state.local_fields[0] = h
+            if fields is lattice:
+                a, b, c = (x + params.f_table[s] for x, s in zip(h.tolist(), SPIN_VALUES))
+                taken = ("c>b" if c > b else "b") if b > a else ("c>a" if c > a else "a")
+                branches[taken, len({a, b, c}) < 3] += 1
+            probs = conditional_spin_distribution(state, 0, params.f_table)
+            p_down, p_down_or_stay = float(probs[0]), float(probs[0] + probs[1])
+            for threshold in (p_down, p_down_or_stay):
+                for u in (np.nextafter(threshold, -np.inf), threshold,
+                          np.nextafter(threshold, np.inf)):
+                    expected = -1 if u < p_down else 0 if u < p_down_or_stay else 1
+                    state.ratings[0] = 3
+                    advance(state, couplings, params, (0,), (float(u),))
+                    assert state.spins[0] == expected, (f_mode, state.local_fields[0], probs, u)
+    # c > b > a admits no tie; every other branch ran both with and without one
+    assert set(branches) == {("c>b", False), ("b", False), ("b", True), ("c>a", False),
+                             ("c>a", True), ("a", False), ("a", True)}
+
+
+def reference_advance(state, couplings, params, order, uniforms):
+    """The engine's loop before its heat-bath weights were inlined: one
+    softmax call per micro-update and a rating write even for a stay."""
+    f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)
+    r_max = params.r_max
+    spins, ratings = memoryview(state.spins), memoryview(state.ratings)
+    fields = state.local_fields
+    columns = (fields[:, 0], fields[:, 1], fields[:, 2])
+    down, stay, up = map(memoryview, columns)
+    subtract, add = np.subtract, np.add
+    for firm, u in zip(order, uniforms):
+        ea, eb, ec = three_exp_weights(down[firm] + f_down, stay[firm] + f_stay, up[firm] + f_up)
+        z = ea + eb + ec
+        p_down = ea / z
+        if u < p_down:
+            new = -1
+        elif u < p_down + eb / z:
+            new = 0
+        else:
+            new = 1
+        old = spins[firm]
+        if new != old:
+            row = couplings[firm]
+            column = columns[old + 1]
+            subtract(column, row, column)
+            column = columns[new + 1]
+            add(column, row, column)
+            spins[firm] = new
+        rating = ratings[firm]
+        if rating != 0 and (rating != r_max or new != 1):
+            ratings[firm] = rating + new
+
+
+@pytest.mark.parametrize(
+    ("j0", "sigma_j", "f_mode"),
+    [(1e-4, 0.001, "zero"), (0.0, 0.2, "zero"), (12.0 / 60, 0.001, "constant_table")],
+    ids=["weak", "glass", "drift"],
+)
+def test_advance_matches_the_reference_loop_step_by_step(j0, sigma_j, f_mode):
+    # the same draws through advance and through reference_advance leave the
+    # same ratings, moves and field-cache bits after every time step
+    params = ModelParams(n_firms=60, j0=j0, sigma_j=sigma_j, f_table=F_TABLES[f_mode])
+    flips = 0
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        couplings = sample_coupling_matrix(params, rng)
+        state = initial_state(params, couplings, rng)
+        reference = EnsembleState(ratings=state.ratings.copy(), spins=state.spins.copy(),
+                                  local_fields=state.local_fields.copy(order="F"))
+        for _ in range(params.steps):
+            order = draw_update_order(params, rng).tolist()
+            uniforms = rng.random(params.n_firms).tolist()
+            before = state.spins.copy()
+            advance(state, couplings, params, order, uniforms)
+            reference_advance(reference, couplings, params, order, uniforms)
+            flips += np.count_nonzero(state.spins != before)
+            assert np.array_equal(state.ratings, reference.ratings)
+            assert np.array_equal(state.spins, reference.spins)
+            assert np.array_equal(state.local_fields.view(np.int64),
+                                  reference.local_fields.view(np.int64))
+    assert flips > 0
 
 
 def test_core_exposes_replayed_steps():
