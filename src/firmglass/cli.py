@@ -36,6 +36,7 @@ import numpy as np
 from .core import F_TABLES, R_MAX, STEPS, ModelParams, require_integer
 from .experiment import (
     PRESET_NAMES,
+    PRESET_SEED,
     SweepSpec,
     csv_chunks,
     emit,
@@ -44,6 +45,7 @@ from .experiment import (
     write_payload,
 )
 from .meanfield import (
+    DEVIATION_GRID_STEP,
     _default_fractions,
     _deviation_grid_rows,
     default_fraction_closed_form,
@@ -103,16 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exact chain and closed-form default fractions")
     p_or.add_argument("--p", type=float, default=None, help="per-move up probability")
     p_or.add_argument("--q", type=float, default=None, help="per-move down probability")
-    p_or.add_argument("--grid", action="store_true",
-                      help="emit the chain-vs-closed-form deviation grid as CSV")
-    p_or.add_argument("--grid-step", type=float, default=None,
-                      help="grid spacing, --grid only (default 0.1)")
+    p_or.add_argument("--grid", type=float, nargs="?", const=DEVIATION_GRID_STEP,
+                      default=None, metavar="STEP",
+                      help="emit the chain-vs-closed-form deviation grid as CSV, "
+                           "spaced STEP apart (default %(const)s)")
 
     p_rep = sub.add_parser("reproduce", parents=[ensemble, output, fmt],
                            help="run a published study preset")
     p_rep.add_argument("preset", choices=PRESET_NAMES)
-    p_rep.add_argument("--seed", type=int, default=None,
-                       help="override the preset master seed")
+    p_rep.add_argument("--seed", type=int, default=PRESET_SEED,
+                       help="master seed (default %(default)s, the presets' seed)")
 
     return parser
 
@@ -136,29 +138,27 @@ def _run_spec(args: argparse.Namespace) -> SweepSpec:
     return _make_spec(args, (args.j0,))
 
 
-def _require_increasing(lo_flag: str, lo: float, hi_flag: str, hi: float) -> None:
+def _range(args: argparse.Namespace, name: str) -> list[float]:
+    """The evenly spaced values that --NAME-min/--NAME-max/--NAME-points ask for."""
+    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+    for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if hi <= lo:
-        raise ValueError(f"{hi_flag} ({hi}) must be greater than {lo_flag} ({lo})")
+        raise ValueError(f"--{name}-max ({hi}) must be greater than --{name}-min ({lo})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"--{name}-max ({hi}) is too far above --{name}-min ({lo})")
+    points = getattr(args, f"{name}_points")
+    require_integer(f"--{name}-points", points, 2)
+    return np.linspace(lo, hi, points).tolist()
 
 
 def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    _require_increasing("--j0-min", args.j0_min, "--j0-max", args.j0_max)
-    require_integer("--j0-points", args.j0_points, 2)
-    values = tuple(np.linspace(args.j0_min, args.j0_max, args.j0_points))
-    return _make_spec(args, values)
-
-
-def _meanfield_betas(args: argparse.Namespace) -> list[float]:
-    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
-    _require_increasing("--beta-min", args.beta_min, "--beta-max", args.beta_max)
-    require_integer("--beta-points", args.beta_points, 2)
-    return np.linspace(args.beta_min, args.beta_max, args.beta_points).tolist()
+    return _make_spec(args, tuple(_range(args, "j0")))
 
 
 def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
-    scan = [(beta, mean_field_fixed_points(beta)) for beta in _meanfield_betas(args)]
+    scan = [(beta, mean_field_fixed_points(beta)) for beta in _range(args, "beta")]
     every_point = [point for _, points in scan for point in points]
     levels = iter(_default_fractions(
         np.array([point.p_up for point in every_point]),
@@ -195,16 +195,13 @@ def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
-    if args.grid:
+    if args.grid is not None:
         if (args.p, args.q) != (None, None):
             raise ValueError("--p and --q cannot be given with --grid, which "
                              "covers the whole simplex")
         header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
         # the step is checked here; the rows stream out in the run phase
-        step = 0.1 if args.grid_step is None else args.grid_step
-        return csv_chunks(header, _deviation_grid_rows(step))
-    if args.grid_step is not None:
-        raise ValueError("--grid-step needs --grid")
+        return csv_chunks(header, _deviation_grid_rows(args.grid))
     if args.p is None or args.q is None:
         raise ValueError("--p and --q are required unless --grid is given")
     markov = default_fraction_markov(args.p, args.q)
@@ -214,10 +211,7 @@ def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _reproduce_spec(args: argparse.Namespace) -> SweepSpec:
-    kwargs = {"n_firms": args.n, "k_realizations": args.k}
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    return preset_spec(args.preset, **kwargs)
+    return preset_spec(args.preset, args.n, args.k, args.seed)
 
 
 # commands that simulate build a sweep; the analytic ones build their output
@@ -258,7 +252,3 @@ def cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli())
-
-
-if __name__ == "__main__":
-    main()

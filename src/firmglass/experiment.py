@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import F_TABLES, ModelParams, require_integer, run_realization, seed_sequence
+from .core import (F_TABLES, SPIN_VALUES, ModelParams, require_integer, run_realization,
+                   seed_sequence)
 from .meanfield import PhasePrediction, predict_phase
 from .riskstats import EnsembleStats, ensemble_stats
 
@@ -291,7 +292,7 @@ def result_to_dict(result: SweepResult) -> dict:
             "r_max": spec.base.r_max,
             "steps": spec.base.steps,
             "selection": "with_replacement",
-            "f_table": {str(s): spec.base.f_table[s] for s in (-1, 0, 1)},
+            "f_table": {str(s): spec.base.f_table[s] for s in SPIN_VALUES},
         },
         "points": [
             {
@@ -385,7 +386,8 @@ def write_payload(chunks: Iterable[str], path: str | Path | None) -> None:
 # Built-in study presets (the published simulation set)
 # --------------------------------------------------------------------------
 
-_DEFAULT_PRESET_SEED = 20_260_809
+#: the master seed of every preset unless the caller gives another
+PRESET_SEED = 20_260_809
 
 # the transition sweep: mean defaults and semivariance across it, f == 0
 _TRANSITION = (0.001, "zero", lambda n: np.linspace(0.0, 0.008, 17))
@@ -411,7 +413,7 @@ def preset_spec(
     name: str,
     n_firms: int = 1000,
     k_realizations: int = 1000,
-    master_seed: int = _DEFAULT_PRESET_SEED,
+    master_seed: int = PRESET_SEED,
 ) -> SweepSpec:
     """SweepSpec for one of the published study scenarios.
 

@@ -69,6 +69,9 @@ PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
 SPIN_GLASS = "spin_glass"
 
+#: the spacing of :func:`closed_form_deviation_grid` when none is given (66 rows)
+DEVIATION_GRID_STEP = 0.1
+
 _SIMPLEX_TOL = 1e-9
 _BLOCK_FLOATS = 1 << 15  # 256 KiB of matrix stack per block: 512 pairs at R_MAX
 
@@ -448,7 +451,7 @@ def _deviation_blocks(
 
 
 def closed_form_deviation_grid(
-    grid_step: float = 0.1,
+    grid_step: float = DEVIATION_GRID_STEP,
 ) -> list[tuple[float, float, float, float, float]]:
     """Markov-vs-closed-form comparison on a simplex grid.
 

@@ -132,9 +132,17 @@ def test_threads_default_to_the_usable_cpus(capsys):
 
 
 def test_sweep_invalid_range_exits_one(capsys):
-    code, _, err = run_cli(capsys, "sweep", *DESK, "--j0-min", "0", "--j0-max", "-1")
-    assert code == 1
-    assert "--j0-max" in err
+    # a bound is refused by its flag before numpy or the model sees it
+    for bounds, flag in ((["--j0-min", "0", "--j0-max", "-1"], "--j0-max"),
+                         (["--j0-min", "nan", "--j0-max", "0.01"], "--j0-min"),
+                         (["--j0-min", "0", "--j0-max", "inf"], "--j0-max"),
+                         # each bound finite, but not the span between them
+                         (["--j0-min=-1e308", "--j0-max", "1e308"], "--j0-max")):
+        code, out, err = run_cli(capsys, "sweep", *DESK, *bounds)
+        assert code == 1, bounds
+        [line] = err.splitlines()
+        assert line.startswith("firmglass: configuration error: " + flag), bounds
+        assert out == ""
 
 
 def test_overflowing_couplings_exit_one_before_any_work(capsys):
@@ -199,6 +207,21 @@ def test_oracle_grid_csv(tmp_path, capsys):
     assert len(rows) == 67  # header + 66 simplex points
 
 
+# sha256 of `oracle --grid` stdout, recorded when the step had a flag of its own
+# (`--grid --grid-step STEP`); None is `--grid` alone, the 0.1 grid
+GRID_OUTPUT_DIGESTS = {
+    None: "2ff4ae15d3c8fbf21f810179efe7314844f116ca79284b0c428c1c0fb204c0e0",
+    "0.05": "935d390717c506c50e1fbf2cf39096ce5af424cce0d4aed177181e709aa860ec",
+}
+
+
+@pytest.mark.parametrize("step", GRID_OUTPUT_DIGESTS, ids=str)
+def test_oracle_grid_output_oracle(step, capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--grid", *filter(None, [step]))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GRID_OUTPUT_DIGESTS[step]
+
+
 def test_meanfield_json(capsys):
     code, out, _ = run_cli(
         capsys, "meanfield", "--beta-min", "0", "--beta-max", "6", "--beta-points", "4"
@@ -244,15 +267,14 @@ def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
 
 
 def test_chain_flags_exit_one_before_any_output(capsys):
-    for argv in (["oracle", "--grid", "--grid-step", "0"],
-                 ["oracle", "--grid", "--grid-step", "1e-4"],
+    for argv in (["oracle", "--grid", "0"],
+                 ["oracle", "--grid", "1e-4"],
                  # 1 / 0.3 is not a whole number of grid levels
-                 ["oracle", "--grid", "--grid-step", "0.3"],
+                 ["oracle", "--grid", "0.3"],
                  # the grid covers the whole simplex, so a point is a mistake
                  ["oracle", "--grid", "--p", "0.3", "--q", "0.9"],
                  ["oracle", "--grid", "--q", "0.3"],
-                 # a point has no grid to space
-                 ["oracle", "--p", "0.3", "--q", "0.3", "--grid-step", "0.1"]):
+                 ["oracle", "--p", "0.3", "--q", "0.3", "--grid"]):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - started < 1.0
