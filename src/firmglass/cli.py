@@ -5,13 +5,13 @@ over the ratings {0, ..., ``core.R_MAX``}, and ``--f-mode`` picks a drift
 table of ``core.F_TABLES`` by name (``constant_table`` is the
 ``RATING_DRIFT_WEIGHTS`` drift); the library takes other values.
 
-Each command runs in two phases.  The build phase parses the flags and
-builds the work: a ``SweepSpec`` for run/sweep/reproduce, the output's text
-chunks for meanfield/oracle (``oracle --grid`` checks its step there and
-leaves its rows to be computed as they are written).  The run phase runs
-the sweep and writes the output.  The input rules live in the modules that
-own them and raise ``ValueError``; one raised while building is a
-configuration error.
+Each subcommand names its build step.  The build step reads the flags,
+builds the work (a ``SweepSpec`` for run/sweep/reproduce, the output's text
+chunks for meanfield/oracle; ``oracle --grid`` checks its step there and
+leaves its rows to be computed as they are written) and returns the run
+step, which runs the sweep and writes the output.  The input rules live in
+the modules that own them and raise ``ValueError``; one raised while
+building is a configuration error.
 
 run, sweep and reproduce use every CPU the process may run on unless
 ``--threads`` says otherwise (the library default is 1 worker); the output
@@ -29,11 +29,12 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from functools import partial
 
 import numpy as np
 
-from .core import F_TABLES, R_MAX, STEPS, ModelParams, require_integer
+from .core import F_TABLES, R_MAX, RATING_DRIFT_WEIGHTS, STEPS, ModelParams, require_integer
 from .experiment import (
     PRESET_NAMES,
     PRESET_SEED,
@@ -48,6 +49,7 @@ from .meanfield import (
     DEVIATION_GRID_STEP,
     _default_fractions,
     _deviation_grid_rows,
+    _require_beta,
     default_fraction_closed_form,
     default_fraction_markov,
     mean_field_fixed_points,
@@ -57,6 +59,16 @@ from .meanfield import (
 def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """A parent parser: flags that several subcommands share, declared once."""
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _simulate(spec_of: Callable[[argparse.Namespace], SweepSpec],
+              args: argparse.Namespace) -> Callable[[], None]:
+    """Build a command that runs the sweep ``spec_of(args)``; return its run step."""
+    require_integer("--threads", args.threads, 1)
+    spec = spec_of(args)
+    # run_sweep and emit are looked up when the command runs
+    return lambda: emit(run_sweep(spec, threads=args.threads),
+                        format=args.format, path=args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,11 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
     ensemble.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
                           help="parallel workers (default: the CPUs this process may use)")
-    drift = _flags()
-    drift.add_argument("--f-mode", choices=tuple(F_TABLES), default="zero",
-                       help="drift term: off, or the per-move weights 0.15/0.75/0.10")
-    # run and sweep set the model; reproduce takes it from the preset
-    model = _flags(ensemble, drift, output, fmt)
+    # run and sweep set the model; reproduce takes it from the preset.  --help
+    # lists --f-mode before the output flags and the other model flags after
+    model = _flags(ensemble)
+    weights = "/".join(f"{weight:.2f}" for weight in RATING_DRIFT_WEIGHTS)
+    model.add_argument("--f-mode", choices=tuple(F_TABLES), default="zero",
+                       help=f"drift term: off, or the per-move weights {weights}")
+    model = _flags(model, output, fmt)
     model.add_argument("--sigma-j", type=float, default=0.001,
                        help="coupling standard deviation")
     model.add_argument("--seed", type=int, default=0, help="master seed")
@@ -89,17 +103,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[model],
                            help="one ensemble at a fixed parameter point")
     p_run.add_argument("--j0", type=float, default=0.0, help="mean coupling")
+    p_run.set_defaults(build=partial(_simulate, lambda args: _make_spec(args, (args.j0,))))
 
     p_sweep = sub.add_parser("sweep", parents=[model], help="ensembles across a range of j0")
     p_sweep.add_argument("--j0-min", type=float, required=True)
     p_sweep.add_argument("--j0-max", type=float, required=True)
     p_sweep.add_argument("--j0-points", type=int, default=11)
+    p_sweep.set_defaults(build=partial(
+        _simulate, lambda args: _make_spec(args, tuple(_range(args, "j0")))))
 
     p_mf = sub.add_parser("meanfield", parents=[output, fmt],
                           help="fixed points and predicted default levels over a beta range")
     p_mf.add_argument("--beta-min", type=float, default=0.0)
     p_mf.add_argument("--beta-max", type=float, default=6.0)
     p_mf.add_argument("--beta-points", type=int, default=13)
+    p_mf.set_defaults(build=lambda args: partial(write_payload, _meanfield_payload(args), args.out))
 
     p_or = sub.add_parser("oracle", parents=[output],
                           help="exact chain and closed-form default fractions")
@@ -109,12 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, metavar="STEP",
                       help="emit the chain-vs-closed-form deviation grid as CSV, "
                            "spaced STEP apart (default %(const)s)")
+    p_or.set_defaults(build=lambda args: partial(write_payload, _oracle_payload(args), args.out))
 
     p_rep = sub.add_parser("reproduce", parents=[ensemble, output, fmt],
                            help="run a published study preset")
     p_rep.add_argument("preset", choices=PRESET_NAMES)
     p_rep.add_argument("--seed", type=int, default=PRESET_SEED,
                        help="master seed (default %(default)s, the presets' seed)")
+    p_rep.set_defaults(build=partial(
+        _simulate, lambda args: preset_spec(args.preset, args.n, args.k, args.seed)))
 
     return parser
 
@@ -134,10 +155,6 @@ def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec
     )
 
 
-def _run_spec(args: argparse.Namespace) -> SweepSpec:
-    return _make_spec(args, (args.j0,))
-
-
 def _range(args: argparse.Namespace, name: str) -> list[float]:
     """The evenly spaced values that --NAME-min/--NAME-max/--NAME-points ask for."""
     lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
@@ -153,12 +170,12 @@ def _range(args: argparse.Namespace, name: str) -> list[float]:
     return np.linspace(lo, hi, points).tolist()
 
 
-def _sweep_spec(args: argparse.Namespace) -> SweepSpec:
-    return _make_spec(args, tuple(_range(args, "j0")))
-
-
 def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
-    scan = [(beta, mean_field_fixed_points(beta)) for beta in _range(args, "beta")]
+    betas = _range(args, "beta")
+    # the typed ends are checked; every beta between them then passes
+    _require_beta(args.beta_min, "--beta-min")
+    _require_beta(args.beta_max, "--beta-max")
+    scan = [(beta, mean_field_fixed_points(beta)) for beta in betas]
     every_point = [point for _, points in scan for point in points]
     levels = iter(_default_fractions(
         np.array([point.p_up for point in every_point]),
@@ -200,8 +217,8 @@ def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
             raise ValueError("--p and --q cannot be given with --grid, which "
                              "covers the whole simplex")
         header = ["p_up", "q_down", "markov", "closed_form", "abs_deviation"]
-        # the step is checked here; the rows stream out in the run phase
-        return csv_chunks(header, _deviation_grid_rows(args.grid))
+        # the step is checked here; the rows stream out in the run step
+        return csv_chunks(header, _deviation_grid_rows(args.grid, "--grid"))
     if args.p is None or args.q is None:
         raise ValueError("--p and --q are required unless --grid is given")
     markov = default_fraction_markov(args.p, args.q)
@@ -210,17 +227,8 @@ def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:
             f"closed-form default fraction: {closed:.6f}\n"]
 
 
-def _reproduce_spec(args: argparse.Namespace) -> SweepSpec:
-    return preset_spec(args.preset, args.n, args.k, args.seed)
-
-
-# commands that simulate build a sweep; the analytic ones build their output
-_SPEC_BUILDERS = {"run": _run_spec, "sweep": _sweep_spec, "reproduce": _reproduce_spec}
-_PAYLOAD_BUILDERS = {"meanfield": _meanfield_payload, "oracle": _oracle_payload}
-
-
 def cli(argv: list[str] | None = None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv, build the command and run it; returns the process exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -229,21 +237,12 @@ def cli(argv: list[str] | None = None) -> int:
         # latter into the configuration-error code
         return 0 if exc.code == 0 else 1
     try:
-        # build the work: a ValueError here is input that a rule refuses
         try:
-            if args.command in _SPEC_BUILDERS:
-                require_integer("--threads", args.threads, 1)
-                spec = _SPEC_BUILDERS[args.command](args)
-            else:
-                payload = _PAYLOAD_BUILDERS[args.command](args)
-        except ValueError as exc:
+            run = args.build(args)
+        except ValueError as exc:  # input that a rule refuses
             print(f"firmglass: configuration error: {exc}", file=sys.stderr)
             return 1
-        if args.command in _SPEC_BUILDERS:
-            result = run_sweep(spec, threads=args.threads)
-            emit(result, format=args.format, path=args.out)
-        else:
-            write_payload(payload, args.out)
+        run()
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"firmglass: runtime failure: {exc}", file=sys.stderr)
         return 2

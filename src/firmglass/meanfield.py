@@ -78,11 +78,11 @@ _BLOCK_FLOATS = 1 << 15  # 256 KiB of matrix stack per block: 512 pairs at R_MAX
 _EXP_CAP = 709.0  # exp() of a larger exponent overflows a float
 
 
-def _require_beta(beta: float) -> None:
+def _require_beta(beta: float, name: str = "beta") -> None:
     # above ~2.74e307 the capped g stays negative at its maximum, and the
     # ordered and saddle roots would be lost
     if not 0 <= beta <= FIELD_MAX:  # NaN fails the comparison
-        raise ValueError(f"beta must be in [0, {FIELD_MAX:g}], got {beta}")
+        raise ValueError(f"{name} must be in [0, {FIELD_MAX:g}], got {beta}")
 
 
 def _require_simplex(prob_up: float, prob_down: float) -> None:
@@ -279,7 +279,15 @@ def transition_beta() -> float:
 
 
 def predict_phase(params: ModelParams) -> PhasePrediction:
-    """Classify a parameter point by the 3/sqrt(N) and 3/N thresholds."""
+    """Classify a parameter point by the 3/sqrt(N) and 3/N thresholds.
+
+    Both are N -> oo stationary thresholds.  After the model's 8 steps the
+    collective onset lies above beta = j0 * N = 3 and moves up with N: at
+    zero drift, P(ND > N/2) reaches half its plateau at beta ~ 3.55, 3.81,
+    4.35 and 4.65 for N = 100, 300, 1000 and 3000
+    (``tests/test_experiment.py::test_collective_onset_moves_up_with_n``).
+    A point labelled ferromagnetic may show no collective defaults.
+    """
     j_critical = critical_beta() / params.n_firms
     sigma_glass = 3.0 / math.sqrt(params.n_firms)
     if params.sigma_j >= sigma_glass:
@@ -421,18 +429,19 @@ def ordered_phase_default_fraction(steps: int = STEPS, r_max: int = R_MAX) -> fl
 
 
 def _deviation_grid_rows(
-    grid_step: float,
+    grid_step: float, name: str = "grid_step"
 ) -> Iterator[tuple[float, float, float, float, float]]:
     """The rows of :func:`closed_form_deviation_grid`, built lazily.
 
-    The step is checked on the call, before any row; a caller that streams
-    the rows holds one numpy block at a time, never the whole grid.
+    The step is checked on the call, before any row, and a refusal names it
+    ``name``; a caller that streams the rows holds one numpy block at a time,
+    never the whole grid.
     """
     if not 1e-3 <= grid_step <= 1:
-        raise ValueError(f"grid_step must be in [0.001, 1], got {grid_step}")
+        raise ValueError(f"{name} must be in [0.001, 1], got {grid_step}")
     n_levels = round(1.0 / grid_step)
     if abs(n_levels * grid_step - 1.0) > 1e-9:
-        raise ValueError(f"grid_step must divide 1, got {grid_step}")
+        raise ValueError(f"{name} must divide 1, got {grid_step}")
     up_index, down_end = np.triu_indices(n_levels + 1)
     return _deviation_blocks(up_index / n_levels, (down_end - up_index) / n_levels)
 

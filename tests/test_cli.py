@@ -254,10 +254,16 @@ def test_meanfield_refuses_a_short_or_empty_beta_range(capsys):
 
 
 def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
-    for argv, problem in ((["--beta-max", "nan", "--beta-points", "2"], "must be finite"),
-                          (["--beta-min=-inf"], "must be finite"),
+    # a refusal names the flag and the value typed, not an interior beta
+    for argv, problem in ((["--beta-max", "nan", "--beta-points", "2"],
+                           "--beta-max must be finite"),
+                          (["--beta-min=-inf"], "--beta-min must be finite"),
                           # finite, but beyond what the root equation resolves
-                          (["--beta-max", "1e308"], "beta must be in [0, 1e+300]")):
+                          (["--beta-max", "1e308"],
+                           "--beta-max must be in [0, 1e+300], got 1e+308"),
+                          (["--beta-max", "1e301"],
+                           "--beta-max must be in [0, 1e+300], got 1e+301"),
+                          (["--beta-min=-1"], "--beta-min must be in [0, 1e+300], got -1.0")):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "meanfield", *argv)
         assert time.perf_counter() - started < 1.0
@@ -267,19 +273,20 @@ def test_meanfield_non_finite_flags_exit_one_before_any_work(capsys):
 
 
 def test_chain_flags_exit_one_before_any_output(capsys):
-    for argv in (["oracle", "--grid", "0"],
-                 ["oracle", "--grid", "1e-4"],
-                 # 1 / 0.3 is not a whole number of grid levels
-                 ["oracle", "--grid", "0.3"],
-                 # the grid covers the whole simplex, so a point is a mistake
-                 ["oracle", "--grid", "--p", "0.3", "--q", "0.9"],
-                 ["oracle", "--grid", "--q", "0.3"],
-                 ["oracle", "--p", "0.3", "--q", "0.3", "--grid"]):
+    # each refusal names --grid, the flag typed, and a bad step's value
+    for argv, problem in ((["--grid", "0"], "--grid must be in [0.001, 1], got 0.0"),
+                          (["--grid", "1e-4"], "--grid must be in [0.001, 1], got 0.0001"),
+                          # 1 / 0.3 is not a whole number of grid levels
+                          (["--grid", "0.3"], "--grid must divide 1, got 0.3"),
+                          # the grid covers the whole simplex, so a point is a mistake
+                          (["--grid", "--p", "0.3", "--q", "0.9"], "with --grid"),
+                          (["--grid", "--q", "0.3"], "with --grid"),
+                          (["--p", "0.3", "--q", "0.3", "--grid"], "with --grid")):
         started = time.perf_counter()
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, "oracle", *argv)
         assert time.perf_counter() - started < 1.0
         assert code == 1, argv
-        assert "configuration error" in err
+        assert "configuration error" in err and problem in err, argv
         assert out == ""
 
 
@@ -351,11 +358,11 @@ def readme_commands():
 
 
 def test_readme_commands_build():
-    # parse and build each documented command; nothing is simulated or written
+    # parse and build each documented command; no run step is called, so
+    # nothing is simulated or written
     commands = readme_commands()
     assert len(commands) >= 10
     parser = cli_module.build_parser()
-    builders = {**cli_module._SPEC_BUILDERS, **cli_module._PAYLOAD_BUILDERS}
     for argv in commands:
         args = parser.parse_args(argv)
-        assert builders[args.command](args), argv
+        assert callable(args.build(args)), argv

@@ -418,6 +418,45 @@ def test_empty_result_emits_header_only(capsys):
 
 
 # ---------------------------------------------------------------------------
+# finite-N statistics: seeds fixed before the first run, bounds from the
+# ensemble standard errors
+# ---------------------------------------------------------------------------
+
+WORKERS = len(os.sched_getaffinity(0))
+
+
+def test_coupling_only_raises_defaults_without_damping():
+    # the 0.40/0.20/0.40 drift does not damp rating changes: coupling only
+    # raises the mean ND, so there is no interior optimum to find
+    n = 300
+    spec = SweepSpec(
+        base=ModelParams(n_firms=n, sigma_j=0.001,
+                         f_table=f_table_from_weights(0.40, 0.20, 0.40)),
+        values=(0.0, 4.0 / n),
+        k_realizations=150,
+        master_seed=1101,
+    )
+    free, coupled = (point.stats for point in run_sweep(spec, threads=WORKERS).points)
+    errors = [np.std(stats.nd_values, ddof=1) / math.sqrt(len(stats.nd_values))
+              for stats in (free, coupled)]
+    assert coupled.mean_nd - free.mean_nd > 2 * math.hypot(*errors), (
+        free.mean_nd, coupled.mean_nd, errors)
+
+
+def test_collective_onset_moves_up_with_n():
+    # at zero drift and beta = j0*N = 3.5, above the N -> oo threshold 3,
+    # collective defaults within the 8 steps get rarer as N grows
+    beta, k = 3.5, 400
+    shares = []
+    for n, seed in ((100, 801), (300, 803)):
+        params = ModelParams(n_firms=n, j0=beta / n, sigma_j=0.001)
+        stats = run_ensemble(params, k, seed, threads=WORKERS)
+        shares.append(np.mean(np.array(stats.nd_values) > n / 2))
+    error = math.hypot(*(math.sqrt(share * (1 - share) / k) for share in shares))
+    assert shares[0] - shares[1] > error, (shares, error)
+
+
+# ---------------------------------------------------------------------------
 # seeding
 # ---------------------------------------------------------------------------
 
