@@ -64,7 +64,9 @@ def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
 def _simulate(spec_of: Callable[[argparse.Namespace], SweepSpec],
               args: argparse.Namespace) -> Callable[[], None]:
     """Build a command that runs the sweep ``spec_of(args)``; return its run step."""
-    require_integer("--threads", args.threads, 1)
+    for flag, value, minimum in (("--threads", args.threads, 1), ("--n", args.n, 1),
+                                 ("--k", args.k, 1), ("--seed", args.seed, 0)):
+        require_integer(flag, value, minimum)
     spec = spec_of(args)
     # run_sweep and emit are looked up when the command runs
     return lambda: emit(run_sweep(spec, threads=args.threads),

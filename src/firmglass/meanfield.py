@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -306,38 +305,23 @@ def predict_phase(params: ModelParams) -> PhasePrediction:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _transition_template(r_max: int) -> np.ndarray:
-    """Where each entry of a flattened transition matrix comes from: an index
-    into a pair's row (0, 1, up, down, stay, 1 - down) of
-    :func:`_transition_matrices`.  Read-only, as every call shares it."""
-    template = np.zeros((r_max + 1, r_max + 1), dtype=np.intp)
-    rated = np.arange(1, r_max + 1)
-    template[0, 0] = 1
-    template[rated[:-1], rated[:-1] + 1] = 2
-    template[rated, rated - 1] = 3
-    template[rated, rated] = 4
-    template[r_max, r_max] = 5  # an up-move at r_max reflects
-    template = template.ravel()
-    template.setflags(write=False)
-    return template
-
-
 def _transition_matrices(ups: np.ndarray, downs: np.ndarray, r_max: int) -> np.ndarray:
     """Stack of a lone firm's one-move rating transition matrices, one per
     (up, down) pair: up, down or stay; state 0 absorbs and an up-move at
-    r_max reflects.  Gathered from each pair's six distinct entries; the
-    callers check the pairs and r_max."""
-    values = np.empty((len(ups), 6))
-    columns = values.T
-    columns[0] = 0.0
-    columns[1] = 1.0
-    columns[2] = ups
-    columns[3] = downs
-    np.subtract(1.0, ups, out=columns[4])
-    columns[4] -= downs  # stay = (1 - up) - down, the scalar rounding
-    np.subtract(1.0, downs, out=columns[5])
-    return values[:, _transition_template(r_max)].reshape(-1, r_max + 1, r_max + 1)
+    r_max reflects.  Each band is written through a strided view of the
+    flattened stack, whose diagonal has stride r_max + 2; the stay is
+    (1 - up) - down, the scalar rounding.  The callers check the pairs and
+    r_max."""
+    size = r_max + 1
+    stack = np.zeros((len(ups), size, size))
+    flat = stack.reshape(len(ups), size * size)
+    ups, downs = ups[:, None], downs[:, None]
+    flat[:, 0] = 1.0  # (0, 0)
+    flat[:, size::size + 1] = downs  # (r, r - 1)
+    flat[:, size + 2::size + 1] = ups  # (r, r + 1), 0 < r < r_max
+    flat[:, size + 1:-1:size + 1] = (1.0 - ups) - downs  # (r, r), 0 < r < r_max
+    flat[:, -1:] = 1.0 - downs  # (r_max, r_max)
+    return stack
 
 
 def _default_fractions(

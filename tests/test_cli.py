@@ -166,6 +166,18 @@ def test_bad_thread_count_exits_one_before_any_work(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("flag, value, minimum", [("--n", "0", 1), ("--k", "0", 1),
+                                                   ("--seed", "-1", 0)])
+def test_bad_count_or_seed_names_its_flag_before_any_work(capsys, flag, value, minimum):
+    for command in (["run"], ["sweep", "--j0-min", "0", "--j0-max", "0.01"],
+                    ["reproduce", "fig1"]):
+        code, out, err = run_cli(capsys, *command, *DESK, "--threads", "1", flag, value)
+        assert code == 1, command
+        assert f"configuration error: {flag} must be >= {minimum}, got {value}" in err
+        assert "[firmglass] sweep" not in err
+        assert out == ""
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, _ = run_cli(capsys, "run", "--frobnicate", "1")
     assert code == 1

@@ -5,7 +5,10 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -637,12 +640,24 @@ def test_defaults_accumulate_and_ratings_stay_in_range():
     assert outcome.final_ratings.max() <= params.r_max
 
 
+def lone_firm_defaults(seeds):
+    """How many of the seeds default a lone, uncoupled firm."""
+    params = ModelParams(n_firms=1, j0=0.0, sigma_j=0.0)
+    return sum(run_realization(params, seed).nd for seed in seeds)
+
+
 def test_single_firm_frequency_matches_chain():
     # one isolated firm updated once per step is exactly the 8-move rating
-    # chain at (1/3, 1/3); check the default frequency over many seeds
-    params = ModelParams(n_firms=1, j0=0.0, sigma_j=0.0)
+    # chain at (1/3, 1/3); check the default frequency over many seeds, each
+    # usable CPU summing every workers-th seed
     n_seeds = 100_000
-    hits = sum(run_realization(params, seed).nd for seed in range(n_seeds))
+    workers = len(os.sched_getaffinity(0))
+    if workers == 1:
+        hits = lone_firm_defaults(range(n_seeds))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
+            hits = sum(pool.map(lone_firm_defaults,
+                                [range(start, n_seeds, workers) for start in range(workers)]))
     expected = default_fraction_markov(1 / 3, 1 / 3, steps=8, r_max=7)
     stderr = math.sqrt(expected * (1 - expected) / n_seeds)
     assert abs(hits / n_seeds - expected) <= 3.0 * stderr
