@@ -27,12 +27,11 @@ spec = SweepSpec(
 result = run_sweep(spec)
 
 print(f"\nj_critical = {J_CRITICAL:g}\n")
-print(f"{'j0/Jc':>6} {'mean ND/N':>10} {'Var+':>10} {'regime':>15}")
+print(f"{'j0/Jc':>6} {'mean ND/N':>10} {'Var+':>10}")
 for point in result.points:
     print(f"{point.sweep_value / J_CRITICAL:6.2f} "
           f"{point.stats.mean_nd / N_FIRMS:10.4f} "
-          f"{point.stats.semivariance_plus:10.1f} "
-          f"{point.phase.regime:>15}")
+          f"{point.stats.semivariance_plus:10.1f}")
 
 low = result.points[0].stats
 peak_var = max(point.stats.semivariance_plus for point in result.points)

@@ -32,7 +32,10 @@ import numpy as np
 from . import __version__
 from .core import (F_TABLES, SPIN_VALUES, ModelParams, require_integer, run_realization,
                    seed_sequence)
-from .meanfield import PhasePrediction, predict_phase
+# unused here: perfbench's traced sweep patches this name and
+# test_modules_expose_traced_names requires it; the benchmark change of
+# ROADMAP item 5 removes both
+from .meanfield import predict_phase  # noqa: F401
 from .riskstats import EnsembleStats, ensemble_stats
 
 
@@ -76,12 +79,11 @@ class SweepSpec:
 class SweepPoint:
     sweep_value: float
     stats: EnsembleStats
-    phase: PhasePrediction
 
 
 @dataclass
 class SweepResult:
-    """Per-value statistics and phase predictions plus run metadata.
+    """Per-value statistics plus run metadata.
 
     The points follow ``spec.values`` in order, one per value that did not
     fail, each with ``spec.k_realizations`` ND values of at most
@@ -216,7 +218,7 @@ def run_ensemble(
 
 
 def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
-    """Run one ensemble per sweep value and collect stats, phases and argmin.
+    """Run one ensemble per sweep value and collect its stats and the argmin.
 
     Every value's realizations share one worker pool.  As each value is
     collected, one ``[firmglass] sweep i/n j0=... workers=w done`` line
@@ -249,8 +251,7 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
             if lost:
                 failed[repr(value)] = f"{type(outcome).__name__}: {outcome}"
                 continue
-            points.append(SweepPoint(value, ensemble_stats(outcome),
-                                     predict_phase(spec.params_at(value))))
+            points.append(SweepPoint(value, ensemble_stats(outcome)))
     metadata = {
         "package_version": __version__,
         "wall_time_s": time.perf_counter() - started,
@@ -268,7 +269,6 @@ CSV_COLUMNS = (
     "mean_nd",
     "mean_nd_frac",
     "semivar_plus",
-    "regime",
     "k",
     "n",
     "steps",
@@ -302,12 +302,6 @@ def result_to_dict(result: SweepResult) -> dict:
                 "semivariance_plus": point.stats.semivariance_plus,
                 "nd_values": point.stats.nd_values,
                 "histogram": {str(b): c for b, c in point.stats.histogram.items()},
-                "bin_width": 1,
-                "phase": {
-                    "j_critical": point.phase.j_critical,
-                    "sigma_glass": point.phase.sigma_glass,
-                    "regime": point.phase.regime,
-                },
             }
             for point in result.points
         ],
@@ -350,9 +344,8 @@ def result_to_csv(result: SweepResult) -> str:
         semivar = point.stats.semivariance_plus
         rows.append([point.sweep_value, point.stats.mean_nd,
                      point.stats.mean_nd / spec.base.n_firms,
-                     "" if semivar is None else semivar, point.phase.regime,
-                     spec.k_realizations, spec.base.n_firms, spec.base.steps,
-                     spec.master_seed])
+                     "" if semivar is None else semivar,
+                     spec.k_realizations, spec.base.n_firms, spec.base.steps, spec.master_seed])
     return "".join(csv_chunks(CSV_COLUMNS, rows))
 
 

@@ -323,13 +323,13 @@ SWEEP_OUTPUT_COMMANDS = {
 }
 SWEEP_OUTPUT_DIGESTS = {
     ("run", "json"):
-        "5f6ae55e8da2f5b6b23d4f2492918b6bb555b92d86334c9f2b3d896ebf72939b",
+        "fef3ba5021fcebd8f5bb450ab94d989b4cd9dd46c141882b37d5b86d450f5532",
     ("run", "csv"):
-        "89e7ffe9f04f9dd8e5687dfedff7913619525f4b3321e9d5a2cfacb79cc0fcf2",
+        "cb81afd39f0102fb22847448b47117cb1171ff67aa90296cc992e6ed3d89bce1",
     ("reproduce", "json"):
-        "ae80dddff2d1fd20862a408ba17d69dac0f8575cd2548985e251de514feb299d",
+        "fca0a4815b7b8c37428a87774be788a1c9ff81ff6e608c5cb8e6a31a1746c8f9",
     ("reproduce", "csv"):
-        "b109df4a3900b6b299d6e6497bf0f3e551ea408312961a9cc06df1ccda20c5ef",
+        "77597689135d6999593ccb96f22269ae4580352504628efdb6b1e9de02934cad",
 }
 
 

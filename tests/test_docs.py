@@ -6,8 +6,9 @@ looked up, and every call to a ``firmglass`` callable is bound against the
 callable's signature.  A renamed export or a removed parameter fails here,
 and so does a README flag that no ``firmglass`` subcommand takes, a flag
 that the README never names, a README name such as
-``meanfield.mean_field_map`` that its module lacks, and a namespace list in
-the README that is not ``firmglass.__all__``.
+``meanfield.mean_field_map`` that its module lacks, a namespace list in
+the README that is not ``firmglass.__all__``, and a README CSV header that
+is not the one sweeps write.
 """
 
 import ast
@@ -20,6 +21,7 @@ import pytest
 
 import firmglass
 from firmglass import cli
+from firmglass.experiment import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -125,3 +127,9 @@ def test_readme_lists_the_namespace_and_names_only_what_exists():
     missing = [f"{module}.{name}" for module, name in qualified
                if not hasattr(importlib.import_module(f"firmglass.{module}"), name)]
     assert not missing, f"README names what the package lacks: {missing}"
+
+
+def test_readme_csv_header_is_the_written_one():
+    readme = (ROOT / "README.md").read_text()
+    after = readme.split("CSV columns are fixed:", 1)[1]
+    assert re.match(r"\s*`([^`]*)`", after)[1] == ", ".join(CSV_COLUMNS)

@@ -147,14 +147,15 @@ def test_single_value_sweep_equals_ensemble():
     assert result.points[0].stats == direct
 
 
-def test_sweep_records_argmin_and_phases():
+def test_sweep_records_argmin():
     spec = desk_spec(values=(0.0, 0.002, 0.004), k=5)
     result = run_sweep(spec)
     means = [point.stats.mean_nd for point in result.points]
     assert result.argmin_index == int(np.argmin(means))
     assert result.argmin_sweep_value == spec.values[result.argmin_index]
-    for point in result.points:
-        assert point.phase.j_critical == 3.0 / DESK.n_firms
+    for point in json.loads(result_to_json(result))["points"]:
+        assert set(point) == {"sweep_value", "mean_nd", "mean_nd_frac",
+                              "semivariance_plus", "nd_values", "histogram"}
     assert result.metadata["failed_values"] == {}
     assert result.metadata["wall_time_s"] > 0
 
@@ -222,8 +223,7 @@ def test_csv_layout():
     assert len(lines) == len(spec.values) + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
-    assert first[4] in ("paramagnetic", "ferromagnetic", "spin_glass")
-    assert int(first[5]) == 3 and int(first[6]) == DESK.n_firms
+    assert int(first[4]) == 3 and int(first[5]) == DESK.n_firms
 
 
 def test_emit_stdout_and_file(tmp_path, capsys):
@@ -425,6 +425,10 @@ def test_empty_result_emits_header_only(capsys):
 WORKERS = len(os.sched_getaffinity(0))
 
 
+def standard_error(stats):
+    return np.std(stats.nd_values, ddof=1) / math.sqrt(len(stats.nd_values))
+
+
 def test_coupling_only_raises_defaults_without_damping():
     # the 0.40/0.20/0.40 drift does not damp rating changes: coupling only
     # raises the mean ND, so there is no interior optimum to find
@@ -437,10 +441,26 @@ def test_coupling_only_raises_defaults_without_damping():
         master_seed=1101,
     )
     free, coupled = (point.stats for point in run_sweep(spec, threads=WORKERS).points)
-    errors = [np.std(stats.nd_values, ddof=1) / math.sqrt(len(stats.nd_values))
-              for stats in (free, coupled)]
+    errors = [standard_error(stats) for stats in (free, coupled)]
     assert coupled.mean_nd - free.mean_nd > 2 * math.hypot(*errors), (
         free.mean_nd, coupled.mean_nd, errors)
+
+
+def test_paper_drift_has_an_interior_optimum():
+    # the paper's drift damps rating changes: coupling first lowers the mean
+    # ND, then collective defaults raise it again, so j0*N = 12 lies below
+    # both ends of the fig8-9 range
+    n = 300
+    spec = SweepSpec(
+        base=ModelParams(n_firms=n, sigma_j=0.001, f_table=F_TABLES["constant_table"]),
+        values=(0.0, 12.0 / n, 40.0 / n),
+        k_realizations=200,
+        master_seed=1102,
+    )
+    free, optimum, strong = (point.stats for point in run_sweep(spec, threads=WORKERS).points)
+    for end in (free, strong):
+        bound = 3 * math.hypot(standard_error(optimum), standard_error(end))
+        assert optimum.mean_nd + bound < end.mean_nd, (optimum.mean_nd, end.mean_nd, bound)
 
 
 def test_collective_onset_moves_up_with_n():
@@ -454,6 +474,34 @@ def test_collective_onset_moves_up_with_n():
         shares.append(np.mean(np.array(stats.nd_values) > n / 2))
     error = math.hypot(*(math.sqrt(share * (1 - share) / k) for share in shares))
     assert shares[0] - shares[1] > error, (shares, error)
+
+
+def frozen_move_level(n):
+    """ND/N if every firm kept one move at all 8N micro-updates: a third of
+    the firms keep the down move and fall one rating at each of their
+    Binomial(8N, 1/N) updates, so one starting at rating r (uniform on
+    1..7) defaults after r of them."""
+    trials, p = 8 * n, 1 / n
+    below = [math.comb(trials, x) * p**x * (1 - p) ** (trials - x) for x in range(7)]
+    return sum(1 - sum(below[:r]) for r in range(1, 8)) / 21
+
+
+def test_strong_disorder_level_is_a_quench_above_the_frozen_moves():
+    # as sigma_j * sqrt(N) grows the heat bath becomes an argmax: the level
+    # stops depending on sigma_j and sits above the frozen-move level
+    n, k = 100, 1600
+    assert abs(frozen_move_level(n) - 0.30196) < 1e-5
+    levels = [
+        run_ensemble(ModelParams(n_firms=n, sigma_j=spread / math.sqrt(n)), k, seed,
+                     threads=WORKERS)
+        for spread, seed in ((100, 1201), (1000, 1202))
+    ]
+    means = [stats.mean_nd / n for stats in levels]
+    errors = [standard_error(stats) / n for stats in levels]
+    assert abs(means[0] - means[1]) < 3 * math.hypot(*errors), (means, errors)
+    pooled = ensemble_stats([nd for stats in levels for nd in stats.nd_values])
+    low = (pooled.mean_nd - 3 * standard_error(pooled)) / n
+    assert low > frozen_move_level(n), (means, low, frozen_move_level(n))
 
 
 # ---------------------------------------------------------------------------

@@ -667,7 +667,7 @@ def test_scalar_chain_calls_are_bit_identical_to_the_scalar_loop():
         p = float(rng.uniform(0, 1))
         points.append((p, float(rng.uniform(0, 1 - p))))
     for index, (p, q) in enumerate(points):
-        steps, r_max = (STEPS, R_MAX) if index % 2 else (index % 13, 1 + index % 12)
+        steps, r_max = (STEPS, R_MAX) if index % 2 else (index % 13, 1 + (index // 2) % 12)
         matrix = _transition_matrices(np.array([p]), np.array([q]), r_max)[0]
         assert bits(matrix.ravel().tolist()) == bits(
             reference_transition_matrix(p, q, r_max).ravel().tolist()
