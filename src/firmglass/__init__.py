@@ -15,7 +15,6 @@ from .core import (
     RealizationOutcome,
     f_table_from_weights,
     run_realization,
-    zero_f_table,
 )
 from .experiment import (
     PRESET_NAMES,
@@ -40,13 +39,7 @@ from .meanfield import (
     predict_phase,
     transition_beta,
 )
-from .riskstats import (
-    EnsembleStats,
-    ensemble_stats,
-    histogram,
-    mean_nd,
-    upper_semivariance,
-)
+from .riskstats import EnsembleStats, ensemble_stats
 
 __all__ = [
     "EnsembleStats",
@@ -66,9 +59,7 @@ __all__ = [
     "emit",
     "ensemble_stats",
     "f_table_from_weights",
-    "histogram",
     "mean_field_fixed_points",
-    "mean_nd",
     "ordered_phase_default_fraction",
     "predict_phase",
     "preset_spec",
@@ -77,6 +68,4 @@ __all__ = [
     "run_realization",
     "run_sweep",
     "transition_beta",
-    "upper_semivariance",
-    "zero_f_table",
 ]

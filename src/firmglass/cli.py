@@ -143,14 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec:
-    base = ModelParams(
-        n_firms=args.n,
-        j0=values[0],
-        sigma_j=args.sigma_j,
-        f_table=F_TABLES[args.f_mode],
-    )
     return SweepSpec(
-        base=base,
+        base=ModelParams(n_firms=args.n, sigma_j=args.sigma_j, f_table=F_TABLES[args.f_mode]),
         values=values,
         k_realizations=args.k,
         master_seed=args.seed,

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
@@ -99,11 +99,6 @@ def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> dict[int,
     return {s: math.log(w) for s, w in zip(SPIN_VALUES, weights)}
 
 
-def zero_f_table() -> dict[int, float]:
-    """Drift table with f identically zero (pure interaction dynamics)."""
-    return {s: 0.0 for s in SPIN_VALUES}
-
-
 class FTable(Mapping):
     """Read-only, hashable copy of a drift table f(s) keyed by the move.
 
@@ -134,7 +129,7 @@ class FTable(Mapping):
 
 #: The drift table of each ``f_mode`` name a sweep document and ``--f-mode`` use.
 F_TABLES = {
-    "zero": FTable(zero_f_table()),
+    "zero": FTable(dict.fromkeys(SPIN_VALUES, 0.0)),
     "constant_table": FTable(f_table_from_weights(*RATING_DRIFT_WEIGHTS)),
 }
 
@@ -158,7 +153,8 @@ class ModelParams:
         drawn uniformly with replacement (:func:`draw_update_order`).
     f_table:
         Per-move drift term f(s), keyed by the move value -1/0/+1, each
-        value at most 1e300 in magnitude.  Stored as an :class:`FTable` copy
+        value at most 1e300 in magnitude; ``F_TABLES["zero"]`` by default,
+        which is pure interaction dynamics.  Stored as an :class:`FTable` copy
         of floats, so later changes to the caller's mapping do not reach it.
     """
 
@@ -167,7 +163,7 @@ class ModelParams:
     sigma_j: float = 0.0
     r_max: int = R_MAX
     steps: int = STEPS
-    f_table: Mapping[int, float] = field(default_factory=zero_f_table)
+    f_table: Mapping[int, float] = F_TABLES["zero"]
 
     def __post_init__(self) -> None:
         for name in ("n_firms", "r_max", "steps"):

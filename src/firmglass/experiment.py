@@ -44,7 +44,8 @@ class SweepSpec:
     """One sweep: a base configuration and the j0 values it takes in turn.
 
     The mean coupling j0 is the model's one control parameter; every other
-    parameter stays at its ``base`` value.
+    parameter stays at its ``base`` value.  ``base`` is stored with the first
+    value as its j0, so a document's ``base_params`` name a realized point.
     """
 
     base: ModelParams
@@ -63,7 +64,8 @@ class SweepSpec:
             raise ValueError(f"values must be strictly increasing, got {self.values}")
         for name, minimum in (("k_realizations", 1), ("master_seed", 0)):
             object.__setattr__(self, name, require_integer(name, getattr(self, name), minimum))
-        for value in self.values:
+        object.__setattr__(self, "base", self.params_at(self.values[0]))
+        for value in self.values[1:]:
             self.params_at(value)  # a value the model refuses is refused here
 
     @property

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from firmglass.core import (
+    F_TABLES,
     EnsembleState,
     ModelParams,
     RATING_DRIFT_WEIGHTS,
@@ -25,7 +26,6 @@ from firmglass.core import (
     initial_state,
     micro_update,
     sample_coupling_matrix,
-    zero_f_table,
 )
 from firmglass.experiment import (
     SweepSpec,
@@ -326,7 +326,7 @@ def test_10_invariant_suite():
         spins=np.array([0], dtype=np.int64),
         local_fields=np.zeros((1, 3)),
     )
-    table = zero_f_table()
+    table = F_TABLES["zero"]
     for _ in range(10_000):
         state.local_fields[0] = rng.uniform(-1e6, 1e6, size=3)
         probs = conditional_spin_distribution(state, 0, table)

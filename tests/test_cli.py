@@ -16,7 +16,7 @@ import pytest
 import firmglass
 from firmglass import cli as cli_module
 from firmglass.cli import cli
-from firmglass.core import F_TABLES, RATING_DRIFT_WEIGHTS, f_table_from_weights, zero_f_table
+from firmglass.core import F_TABLES, RATING_DRIFT_WEIGHTS, f_table_from_weights
 from firmglass.experiment import preset_spec
 from firmglass.meanfield import default_fraction_closed_form
 
@@ -81,7 +81,7 @@ def test_run_constant_table_mode(capsys):
         assert doc["f_mode"] == name
         tables[name] = {int(move): f for move, f in doc["base_params"]["f_table"].items()}
         assert tables[name] == F_TABLES[name]
-    assert tables["zero"] == zero_f_table()
+    assert tables["zero"] == {-1: 0.0, 0: 0.0, 1: 0.0}
     assert tables["constant_table"] == f_table_from_weights(*RATING_DRIFT_WEIGHTS)
     assert preset_spec("fig8-9").base.f_table == tables["constant_table"]
 

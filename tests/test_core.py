@@ -29,7 +29,6 @@ from firmglass.core import (
     run_realization,
     sample_coupling_matrix,
     time_step,
-    zero_f_table,
 )
 from firmglass.meanfield import default_fraction_markov
 
@@ -200,7 +199,7 @@ def test_initial_state_field_cache():
 
 def test_conditional_isolated_uniform():
     state = make_state(np.zeros((2, 2)), [3, 3], [0, 0])
-    probs = conditional_spin_distribution(state, 0, zero_f_table())
+    probs = conditional_spin_distribution(state, 0, F_TABLES["zero"])
     assert np.array_equal(probs, np.array([1 / 3, 1 / 3, 1 / 3]))
 
 
@@ -218,7 +217,7 @@ def test_conditional_two_aligned_neighbors():
     couplings[0, 1] = couplings[1, 0] = 1.0
     couplings[0, 2] = couplings[2, 0] = 1.0
     state = make_state(couplings, [3, 3, 3], [0, 1, 1])
-    probs = conditional_spin_distribution(state, 0, zero_f_table())
+    probs = conditional_spin_distribution(state, 0, F_TABLES["zero"])
     expected = math.e**2 / (math.e**2 + 2.0)  # softmax with one exponent of 2
     assert abs(probs[2] - expected) < 1e-12
 
@@ -229,7 +228,7 @@ def test_conditional_overflow_guard():
     state = make_state(np.zeros((1, 1)), [3], [0])
     for _ in range(1000):
         state.local_fields[0] = rng.uniform(-1e6, 1e6, size=3)
-        probs = conditional_spin_distribution(state, 0, zero_f_table())
+        probs = conditional_spin_distribution(state, 0, F_TABLES["zero"])
         assert abs(float(probs.sum()) - 1.0) <= 1e-12
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 

@@ -24,6 +24,7 @@ from firmglass.experiment import (
     run_ensemble,
     run_sweep,
 )
+from firmglass.meanfield import default_fraction_markov
 from firmglass.riskstats import ensemble_stats
 
 DESK = ModelParams(n_firms=60, j0=0.001, sigma_j=0.02)
@@ -504,6 +505,29 @@ def test_strong_disorder_level_is_a_quench_above_the_frozen_moves():
     assert low > frozen_move_level(n), (means, low, frozen_move_level(n))
 
 
+def test_coupling_spread_raises_the_level_at_zero_mean_coupling():
+    # at j0 = 0 and zero drift, ND/N rises with sigma_j * sqrt(N) as the
+    # dynamics crosses over from independent moves to the glass
+    n, k = 300, 200
+    levels = [
+        run_ensemble(ModelParams(n_firms=n, sigma_j=spread / math.sqrt(n)), k, seed,
+                     threads=WORKERS)
+        for spread, seed in ((0, 1301), (1, 1302), (3, 1303))
+    ]
+    means = [stats.mean_nd / n for stats in levels]
+    errors = [standard_error(stats) / n for stats in levels]
+    for i in range(2):
+        bound = 3 * math.hypot(errors[i], errors[i + 1])
+        assert means[i + 1] - means[i] > bound, (means, errors)
+    # a zero field makes every micro-update an independent uniform move, and
+    # a firm gets Binomial(8N, 1/N) of them; the tail past 60 updates is
+    # below 1e-30
+    trials, p = 8 * n, 1 / n
+    exact = sum(math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
+                * default_fraction_markov(1 / 3, 1 / 3, steps=m) for m in range(61))
+    assert abs(means[0] - exact) < 3 * errors[0], (means[0], exact, errors[0])
+
+
 # ---------------------------------------------------------------------------
 # seeding
 # ---------------------------------------------------------------------------
@@ -560,28 +584,38 @@ def test_unknown_preset():
 
 
 # sha256 of the JSON of each preset's spec with no points, recorded before
-# the presets moved into one table: any change to a preset's base, grid,
-# K or seed shows up here
+# the presets moved into one table (fig1 and fig2 re-recorded when a
+# spec's base took its first value as j0): any change to a preset's base,
+# grid, K or seed shows up here
 PRESET_SPEC_DIGESTS = {
-    (1000, "fig1"): "2ae4de592ae70862dca66dfbb003d635be25648ca6344044b420f7e3171b5019",
-    (1000, "fig2"): "0bd194ea242ff7c94ea730dda6ac5030e71bb7f061d7cc280429fbb712926f74",
+    (1000, "fig1"): "ace52df5631927c52993c0966f955e3d6712db7adcde64aac9d50f52da47c1bc",
+    (1000, "fig2"): "4abe45a491298df0dfe869a4ba697dcdce222f7fa59530b989661b0244d8a8c2",
     (1000, "fig3-4"): "8a2ebae18bd020cba0df82a4cce272e569c36c2950a5e0ea290e3b4159817bfa",
     (1000, "fig5"): "8a2ebae18bd020cba0df82a4cce272e569c36c2950a5e0ea290e3b4159817bfa",
     (1000, "fig6-7"): "e27c68f2c2940edd66079014bda9dc9f2fe70f60bb461a986b5394a932203a12",
     (1000, "fig8-9"): "6ce9c55fa48cf8442f6e2fc890e80ed98e1be4bd0a0dca1fa712cbe2e0e3b6fc",
-    (300, "fig1"): "1e286f02109ac77469f35d3a508be903bb86b9db3f8c8677fc7f09940bfee592",
-    (300, "fig2"): "53a3d80efebc6ab35b3d2eea8e3eb37803a611e8b1d299fbc8de3a55116b1158",
+    (300, "fig1"): "c81a92152bbb29a57bf51c7b36fed440a640a6a85d375749ff4e444bb88215d9",
+    (300, "fig2"): "60f6f4cd72545490f1edbaeda5939ece8eaa20c32e88840ea2d9524be597970f",
     (300, "fig3-4"): "aa3d7ae582a72f220c0c4c82446a0600d8c1db2e319adc143ca49976a73e6d2b",
     (300, "fig5"): "aa3d7ae582a72f220c0c4c82446a0600d8c1db2e319adc143ca49976a73e6d2b",
     (300, "fig6-7"): "1f3a14d6826e78e2df521dda6dad584d7b323b3e95a080620ea8b790622d0d15",
     (300, "fig8-9"): "add293707608110db69debd697514dfbb6bfe521114aa38a17a4f7299ae7cb1f",
-    (7, "fig1"): "10854db3543ca043176bfb6017dc1a7b350d7fbc1fbae0736bcdf6bf08fabfa1",
-    (7, "fig2"): "f4bce796ba30c048c0cbee01e2325febf58fd1cd8b2047ccd4ee69eecae4257e",
+    (7, "fig1"): "c5bafab7055d6bdee0886e73cc86dbd25efc5c2572361b0a92f9673aa7fbc496",
+    (7, "fig2"): "37b4f36cb608022853b30b1b0a79ab32f3760e9fd4dfc57a6ab413c71ccbcae4",
     (7, "fig3-4"): "6b7088a4378d0bd51f964a1085cf65060c2ed9364db6aa31f40e4a063e155a34",
     (7, "fig5"): "6b7088a4378d0bd51f964a1085cf65060c2ed9364db6aa31f40e4a063e155a34",
     (7, "fig6-7"): "cb14900fec9a402cca8ee3b957e7b91ab7790e7f7f7ccc5a21fe7a4b00df9e2f",
     (7, "fig8-9"): "db47c86290d5b97313a0f1ba89b713e6240ea092cdd0756c0af8953d9ab9ad3c",
 }
+
+
+def test_document_base_j0_is_the_first_value():
+    # base_params names a point the sweep realized, not the j0 it was built with
+    for name in PRESET_NAMES:
+        spec = preset_spec(name, n_firms=7)
+        doc = json.loads(result_to_json(SweepResult(spec, [], {})))
+        assert doc["base_params"]["j0"] == doc["values"][0], name
+    assert desk_spec(values=(0.002, 0.004)).base == replace(DESK, j0=0.002)
 
 
 def test_preset_specs_are_pinned():
