@@ -11,7 +11,9 @@ chosen firms.
 
 Conventions the rest of the package relies on:
 
-* couplings are Gaussian(j0, sigma_j**2), symmetric, zero diagonal;
+* couplings are Gaussian(j0, sigma_j**2), symmetric, zero diagonal: standard
+  normals scaled in place (:func:`couplings_from_normals`), which gives the
+  bits of ``rng.normal(j0, sigma_j)``;
 * the field cache ``local_fields[i, v + 1]`` always equals
   ``sum_j couplings[i, j] * (spins[j] == v)`` for v in {-1, 0, +1};
 * micro-updates read the *latest* moves of all other firms (asynchronous
@@ -36,6 +38,14 @@ strided views, only more slowly.
 it bit for bit, so the probabilities the dynamics samples are exactly the
 ones that function reports, and the mean-field theory applies the same
 softmax.
+
+:func:`run_realization` draws the couplings and hands them to
+:func:`simulate`.  The ensembles of ``experiment`` run on ``threads``
+worker processes; one worker runs in the calling process and, from N = 363
+on, also uses one helper thread that draws the next realization's standard
+normals while :func:`simulate` runs the current one.  Each realization
+keeps its own generator and draw order, so the output does not depend on
+that thread.
 """
 
 from __future__ import annotations
@@ -219,24 +229,38 @@ class RealizationOutcome:
     nd_trajectory: tuple[int, ...]
 
 
+def couplings_from_normals(params: ModelParams, normals: np.ndarray) -> np.ndarray:
+    """The symmetric, zero-diagonal coupling matrix of N(N-1)/2 standard normals.
+
+    Scales ``normals`` in place to N(j0, sigma_j**2) draws, ``*= sigma_j``
+    and then ``+= j0``: the bits ``rng.normal(j0, sigma_j)`` computes from
+    the same standard normals.  They fill the strict upper triangle row by
+    row, and the lower triangle mirrors it.
+    """
+    n = params.n_firms
+    normals *= params.sigma_j
+    normals += params.j0
+    couplings = np.zeros((n, n))
+    # row i's slice also fills column i below the diagonal
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        couplings[i, i + 1:] = couplings[i + 1:, i] = normals[start:stop]
+        start = stop
+    return couplings
+
+
 def sample_coupling_matrix(params: ModelParams, rng: np.random.Generator) -> np.ndarray:
     """Draw a symmetric, zero-diagonal Gaussian coupling matrix.
 
     Each strict-upper-triangle entry is an independent N(j0, sigma_j**2)
-    draw; the lower triangle mirrors it.  Exactly N(N-1)/2 normal variates
-    are consumed from ``rng``, independent of sigma_j.
+    draw; the lower triangle mirrors it.  Exactly N(N-1)/2 standard normal
+    variates are consumed from ``rng``, independent of sigma_j, and scaled
+    by :func:`couplings_from_normals`, so the matrix and the generator state
+    it leaves are those of ``rng.normal(j0, sigma_j, size=N(N-1)/2)``.
     """
     n = params.n_firms
-    draws = rng.normal(params.j0, params.sigma_j, size=n * (n - 1) // 2)
-    couplings = np.zeros((n, n))
-    # the draws fill the upper triangle row by row; row i's slice also fills
-    # column i below the diagonal
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        couplings[i, i + 1:] = couplings[i + 1:, i] = draws[start:stop]
-        start = stop
-    return couplings
+    return couplings_from_normals(params, rng.standard_normal(n * (n - 1) // 2))
 
 
 def compute_local_fields(couplings: np.ndarray, spins: np.ndarray) -> np.ndarray:
@@ -408,6 +432,24 @@ def count_defaults(state: EnsembleState) -> int:
     return int(np.count_nonzero(state.ratings == 0))
 
 
+def simulate(
+    params: ModelParams, rng: np.random.Generator, couplings: np.ndarray
+) -> RealizationOutcome:
+    """Run one realization on drawn couplings: the initial state and then
+    ``steps`` time steps from ``rng``, counting defaulted firms after each."""
+    state = initial_state(params, couplings, rng)
+    trajectory = []
+    for _ in range(params.steps):
+        time_step(state, couplings, params, rng)
+        trajectory.append(count_defaults(state))
+    return RealizationOutcome(
+        nd=trajectory[-1],
+        final_ratings=state.ratings,
+        final_spins=state.spins,
+        nd_trajectory=tuple(trajectory),
+    )
+
+
 def run_realization(
     params: ModelParams, seed: int | np.random.SeedSequence
 ) -> RealizationOutcome:
@@ -422,15 +464,4 @@ def run_realization(
     (:func:`seed_sequence`), else ``ValueError``.
     """
     rng = np.random.default_rng(seed_sequence("seed", seed))
-    couplings = sample_coupling_matrix(params, rng)
-    state = initial_state(params, couplings, rng)
-    trajectory = []
-    for _ in range(params.steps):
-        time_step(state, couplings, params, rng)
-        trajectory.append(count_defaults(state))
-    return RealizationOutcome(
-        nd=trajectory[-1],
-        final_ratings=state.ratings,
-        final_spins=state.spins,
-        nd_trajectory=tuple(trajectory),
-    )
+    return simulate(params, rng, sample_coupling_matrix(params, rng))

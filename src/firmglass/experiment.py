@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -30,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (F_TABLES, SPIN_VALUES, ModelParams, require_integer, run_realization,
-                   seed_sequence)
+from .core import (F_TABLES, SPIN_VALUES, ModelParams, couplings_from_normals, require_integer,
+                   run_realization, seed_sequence, simulate)
 # unused here: perfbench's traced sweep patches this name and
 # test_modules_expose_traced_names requires it; the benchmark change of
 # ROADMAP item 5 removes both
@@ -130,6 +131,50 @@ def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
     return run_realization(params, seed_seq).nd
 
 
+#: The fewest couplings per realization at which one worker draws the next
+#: realization's couplings on a helper thread: 2**16, from N = 363 on.
+#: Below it the gain is within run-to-run noise, and at small N the two
+#: thread hand-offs per realization cost more than the overlap saves.
+_PIPELINE_MIN_COUPLINGS = 2 ** 16
+
+
+def _one_worker_nds(tasks: list[tuple[ModelParams, np.random.SeedSequence]]) -> Iterator[int]:
+    """ND values of one value's realizations, run in order in this process.
+
+    The tasks of one value share their params.  From
+    :data:`_PIPELINE_MIN_COUPLINGS` couplings per realization on, one helper
+    thread fills a preallocated buffer with realization k + 1's standard
+    normals (``rng.standard_normal(out=...)``, which releases the GIL) while
+    this thread runs realization k.  This thread then waits for that draw,
+    turns the buffer into couplings with :func:`couplings_from_normals`, and
+    only then submits the next draw into the same buffer.  Each realization
+    keeps its own generator and draw order, so every ND value is
+    :func:`run_realization`'s.  The helper is shut down before the generator
+    finishes, raises or is closed, so no helper thread is alive when a later
+    pool forks.
+    """
+    params = tasks[0][0]
+    size = params.n_firms * (params.n_firms - 1) // 2
+    if size < _PIPELINE_MIN_COUPLINGS:
+        yield from map(_realization_nd, tasks)
+        return
+    normals = np.empty(size)
+    rngs = (np.random.default_rng(seed) for _, seed in tasks)
+    rng = next(rngs)
+    with ThreadPoolExecutor(1) as helper:
+        draw = helper.submit(rng.standard_normal, out=normals)
+        for following in itertools.chain(rngs, [None]):
+            draw.result()
+            couplings = couplings_from_normals(params, normals)
+            if following is not None:
+                draw = helper.submit(following.standard_normal, out=normals)
+            nd = simulate(params, rng, couplings).nd
+            # the next fill allocates a fresh matrix: hold no second one
+            del couplings
+            yield nd
+            rng = following
+
+
 def _child(seed: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
     """Child k of ``seed``: what ``seed.spawn`` gives as its k-th child on a
     fresh sequence, without advancing ``seed``."""
@@ -150,8 +195,12 @@ def _value_outcomes(
     """Yield (value index, ND values or the error that failed it) in index order.
 
     One loop runs every value on ``workers`` workers, which the callers cap
-    at the number of realizations: one worker maps each value in this
-    process; several share one fork-context pool, whose ``map`` takes every
+    at the number of realizations.  ``workers`` counts worker processes.
+    One worker runs each value in this process through :func:`_one_worker_nds`,
+    which from N = 363 on also uses one helper thread for coupling draws;
+    the couplings are standard normals scaled in place, with
+    ``rng.normal``'s bits, so the output does not depend on that thread.
+    Several workers share one fork-context pool, whose ``map`` takes every
     value's realizations up front, value-major, in chunks of about
     ``len(tasks) / (4 * workers)``, while the values are collected in order.
     A ``MemoryError`` fails its own value.  A dead worker breaks the pool
@@ -169,7 +218,7 @@ def _value_outcomes(
                 if workers > 1 else None)
         try:
             results = [
-                map(_realization_nd, tasks) if pool is None else
+                _one_worker_nds(tasks) if pool is None else
                 pool.map(_realization_nd, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
                 for tasks in (task_lists[index] for index in batch)
             ]
@@ -202,9 +251,14 @@ def run_ensemble(
 
     Realization k is seeded with child k of ``master_seed``, so the
     multiset of default counts (and their index order, hence all
-    aggregates) does not depend on ``threads``.  This is the one-value case
-    of the scheduler :func:`run_sweep` uses.  The histogram counts each
-    default count on its own.
+    aggregates) does not depend on ``threads``, the number of worker
+    processes.  One worker runs in this process and, from N = 363 on, also
+    uses one helper thread that draws the next realization's couplings, as
+    standard normals scaled in place with ``rng.normal``'s bits; the output
+    does not depend on that thread either, and it is shut down before the
+    call returns or raises.  This is the one-value case of the scheduler
+    :func:`run_sweep` uses.  The histogram counts each default count on its
+    own.
     ``k_realizations`` and ``threads`` must be integers >= 1 and
     ``master_seed`` an integer >= 0 or a ``SeedSequence``, which is not
     advanced; anything else raises ``ValueError`` before any work.
@@ -222,7 +276,12 @@ def run_ensemble(
 def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """Run one ensemble per sweep value and collect its stats and the argmin.
 
-    Every value's realizations share one worker pool.  As each value is
+    ``threads`` counts worker processes, and every value's realizations
+    share one worker pool.  One worker runs in this process and, from
+    N = 363 on, also uses one helper thread that draws the next
+    realization's couplings, as standard normals scaled in place with
+    ``rng.normal``'s bits; the output does not depend on that thread, and it
+    is shut down before the call returns or raises.  As each value is
     collected, one ``[firmglass] sweep i/n j0=... workers=w done`` line
     (``failed`` for a lost value) goes to stderr; w is ``threads``, capped at
     the sweep's realizations.  A value that exhausts memory or loses a worker

@@ -164,6 +164,30 @@ def test_couplings_sample_moments():
     assert abs(draws.std() - 1.0) <= 0.02
 
 
+@pytest.mark.parametrize(
+    ("j0", "sigma_j"),
+    [(0.3, 0.0), (-0.0, 0.0), (-0.0, 0.2), (2.3e299, 1e297), (-2.4e299, 0.0),
+     # drawn once from default_rng(20261020) and written down
+     (-0.095812, 0.038792), (-0.105166, 0.458016), (0.069535, 0.12831),
+     (0.027138, 0.107167), (0.085442, 0.380552), (-0.103508, 0.042167),
+     (-0.017763, 0.052817), (0.019676, 0.285786)],
+)
+def test_couplings_are_rng_normal_bit_for_bit(j0, sigma_j):
+    # standard normals scaled in place give rng.normal's bits, signed zeros
+    # included, and leave the generator where rng.normal leaves it
+    n = 5  # (n - 1) * (|j0| + 10 * sigma_j) <= 1e300 for the large |j0|
+    params = ModelParams(n_firms=n, j0=j0, sigma_j=sigma_j)
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    couplings = sample_coupling_matrix(params, rng)
+    draws = iter(reference.normal(j0, sigma_j, size=n * (n - 1) // 2))
+    expected = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected[i, j] = expected[j, i] = next(draws)
+    assert np.array_equal(couplings.view(np.int64), expected.view(np.int64))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # initial state
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import replace
 
@@ -409,6 +410,117 @@ def test_parent_error_cancels_the_queued_values(monkeypatch, tmp_path):
     assert ran < 40
     time.sleep(0.3)
     assert len(log_path.read_text().splitlines()) == ran
+
+
+# ---------------------------------------------------------------------------
+# one worker's helper thread for coupling draws
+# ---------------------------------------------------------------------------
+
+# N = 400 draws 79800 couplings per realization, just above the helper's gate
+ABOVE_GATE = replace(DESK, n_firms=400)
+GATED_POINTS = {
+    "weak": ModelParams(n_firms=400, j0=1e-4, sigma_j=0.001),
+    "glass": ModelParams(n_firms=400, j0=0.0, sigma_j=0.2),
+    "drift": ModelParams(n_firms=400, j0=12 / 400, sigma_j=0.001,
+                         f_table=F_TABLES["constant_table"]),
+}
+
+
+def counting_helpers(monkeypatch):
+    """Patch in a helper pool that logs each build; return the log."""
+    import firmglass.experiment as experiment
+
+    built = []
+
+    class CountingHelper(experiment.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ThreadPoolExecutor", CountingHelper)
+    return built
+
+
+def test_helper_thread_runs_only_from_the_gate_on(monkeypatch):
+    import firmglass.experiment as experiment
+
+    for n in (362, 363):
+        assert (n * (n - 1) // 2 >= experiment._PIPELINE_MIN_COUPLINGS) == (n == 363)
+    built = counting_helpers(monkeypatch)
+    run_ensemble(DESK, 2, 40)
+    assert built == []
+    run_sweep(desk_spec(values=(0.0, 0.002), k=2, base=ABOVE_GATE))
+    assert built == [(1,), (1,)]
+
+
+@pytest.mark.parametrize("point", sorted(GATED_POINTS))
+def test_helper_thread_leaves_every_nd_value(point):
+    params = GATED_POINTS[point]
+    expected = [run_realization(params, child).nd
+                for child in np.random.SeedSequence(41).spawn(3)]
+    assert run_ensemble(params, 3, 41, threads=1).nd_values == expected
+    assert run_ensemble(params, 3, 41, threads=2).nd_values == expected
+    spec = desk_spec(values=(params.j0, params.j0 + 0.002), k=3, seed=42, base=params)
+    texts = []
+    for threads in (1, 2):
+        result = run_sweep(spec, threads=threads)
+        result.metadata["wall_time_s"] = 0.0
+        texts.append(result_to_json(result))
+    assert texts[1] == texts[0]
+
+
+def test_couplings_exhausted_above_the_gate_fail_only_their_value(monkeypatch, capsys):
+    import firmglass.experiment as experiment
+
+    fill = experiment.couplings_from_normals
+
+    def exhausted_at_0002(params, normals):
+        if params.j0 == 0.002:
+            raise MemoryError("couplings do not fit")
+        return fill(params, normals)
+
+    monkeypatch.setattr(experiment, "couplings_from_normals", exhausted_at_0002)
+    built = counting_helpers(monkeypatch)
+    threads_before = set(threading.enumerate())
+    result = experiment.run_sweep(
+        desk_spec(values=tuple(np.linspace(0.0, 0.004, 3)), k=3, base=ABOVE_GATE), threads=1
+    )
+    assert len(built) == 3
+    assert set(threading.enumerate()) <= threads_before
+    assert [point.sweep_value for point in result.points] == [0.0, 0.004]
+    assert result.metadata["failed_values"] == {"0.002": "MemoryError: couplings do not fit"}
+    assert capsys.readouterr().err.splitlines() == [
+        "[firmglass] sweep 1/3 j0=0 workers=1 done",
+        "[firmglass] sweep 2/3 j0=0.002 workers=1 failed",
+        "[firmglass] sweep 3/3 j0=0.004 workers=1 done",
+    ]
+
+
+def test_helper_thread_never_outlives_the_call(monkeypatch):
+    import firmglass.experiment as experiment
+
+    built = counting_helpers(monkeypatch)
+    threads_before = set(threading.enumerate())
+    run_ensemble(ABOVE_GATE, 2, 43)
+    assert set(threading.enumerate()) <= threads_before
+
+    def failing_stats(nd_values):
+        raise RuntimeError("stats failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "ensemble_stats", failing_stats)
+        with pytest.raises(RuntimeError, match="stats failed"):
+            run_sweep(desk_spec(values=(0.0, 0.002), k=2, base=ABOVE_GATE))
+    assert set(threading.enumerate()) <= threads_before
+
+    root = np.random.SeedSequence(44)
+    task_lists = [experiment._realization_tasks(ABOVE_GATE, experiment._child(root, index), 2)
+                  for index in range(3)]
+    outcomes = experiment._value_outcomes(task_lists, 1)
+    assert next(outcomes)[0] == 0
+    outcomes.close()
+    assert set(threading.enumerate()) <= threads_before
+    assert len(built) == 3
 
 
 def test_empty_result_emits_header_only(capsys):
