@@ -4,12 +4,13 @@ Runs two desk-scale ensembles that differ only in the mean coupling
 strength.  Weak coupling gives a narrow default-count distribution around
 the independent-firm level ~0.202 * N.  Strong coupling splits the outcomes:
 most portfolios end almost unscathed, a sizable minority collapses almost
-entirely -- the collective-default phase.
+entirely -- the collective-default phase.  Each ensemble is split into its
+collapsed realizations (ND > N/2) and its quiet ones, the rest.
 """
 
 import numpy as np
 
-from firmglass import ModelParams, predict_phase, run_ensemble
+from firmglass import ModelParams, run_ensemble
 
 N_FIRMS = 300
 K = 150
@@ -26,10 +27,13 @@ def ascii_histogram(nd_values, n_firms, width=60):
 
 def show_phase(label, j0):
     params = ModelParams(n_firms=N_FIRMS, j0=j0, sigma_j=0.001)
-    phase = predict_phase(params)
     stats = run_ensemble(params, K, SEED)
-    print(f"\n{label}: j0 = {j0:g} (critical coupling = {phase.j_critical:g}, "
-          f"predicted regime: {phase.regime})")
+    nd = np.asarray(stats.nd_values)
+    collapsed = nd > N_FIRMS / 2
+    quiet = f"{nd[~collapsed].mean() / N_FIRMS:.3f}" if not collapsed.all() else "none"
+    print(f"\n{label}: j0 = {j0:g}")
+    print(f"  collapsed (ND > N/2): {collapsed.mean():.0%} of realizations;"
+          f"  quiet mean ND/N: {quiet}")
     print(f"  mean defaults {stats.mean_nd:.1f} / {N_FIRMS} firms"
           f"  (fraction {stats.mean_nd / N_FIRMS:.3f})")
     print(f"  upper semivariance {stats.semivariance_plus:.1f}")

@@ -89,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble = _flags()
     ensemble.add_argument("--n", type=int, default=1000, help="number of firms")
     ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
-    ensemble.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
+    # os.sched_getaffinity is missing on some platforms (macOS), and
+    # os.cpu_count may return None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    ensemble.add_argument("--threads", type=int, default=cpus,
                           help="parallel workers (default: the CPUs this process may use)")
     # run and sweep set the model; reproduce takes it from the preset.  --help
     # lists --f-mode before the output flags and the other model flags after

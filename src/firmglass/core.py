@@ -40,12 +40,8 @@ ones that function reports, and the mean-field theory applies the same
 softmax.
 
 :func:`run_realization` draws the couplings and hands them to
-:func:`simulate`.  The ensembles of ``experiment`` run on ``threads``
-worker processes; one worker runs in the calling process and, from N = 363
-on, also uses one helper thread that draws the next realization's standard
-normals while :func:`simulate` runs the current one.  Each realization
-keeps its own generator and draw order, so the output does not depend on
-that thread.
+:func:`simulate`; ``experiment._one_worker_nds`` draws them apart from the
+run, and its docstring says when and why.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Seeded ensemble execution, parameter sweeps, CSV/JSON emission and presets.
 
 Reproducibility contract: every realization gets its own child of the master
-``SeedSequence`` (realization k of sweep value i is child k of child i, both
-levels built by one helper that advances no sequence), so results are
+``SeedSequence``: sweep value i is child i of ``master.spawn``, and its
+realization k is child k of that value's ``spawn``, taken once per value on
+a copy so that no caller's sequence advances.  Results are therefore
 independent of scheduling and of the worker count.  Aggregation walks
 realizations in index order, making whole sweep outputs bit-stable.
 
@@ -126,8 +127,7 @@ class SweepResult:
         return self.points[self.argmin_index].sweep_value
 
 
-def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
-    params, seed_seq = task
+def _realization_nd(params: ModelParams, seed_seq: np.random.SeedSequence) -> int:
     return run_realization(params, seed_seq).nd
 
 
@@ -138,28 +138,28 @@ def _realization_nd(task: tuple[ModelParams, np.random.SeedSequence]) -> int:
 _PIPELINE_MIN_COUPLINGS = 2 ** 16
 
 
-def _one_worker_nds(tasks: list[tuple[ModelParams, np.random.SeedSequence]]) -> Iterator[int]:
+def _one_worker_nds(params: ModelParams, seeds: list[np.random.SeedSequence]) -> Iterator[int]:
     """ND values of one value's realizations, run in order in this process.
 
-    The tasks of one value share their params.  From
-    :data:`_PIPELINE_MIN_COUPLINGS` couplings per realization on, one helper
-    thread fills a preallocated buffer with realization k + 1's standard
-    normals (``rng.standard_normal(out=...)``, which releases the GIL) while
-    this thread runs realization k.  This thread then waits for that draw,
-    turns the buffer into couplings with :func:`couplings_from_normals`, and
-    only then submits the next draw into the same buffer.  Each realization
-    keeps its own generator and draw order, so every ND value is
-    :func:`run_realization`'s.  The helper is shut down before the generator
-    finishes, raises or is closed, so no helper thread is alive when a later
-    pool forks.
+    From :data:`_PIPELINE_MIN_COUPLINGS` couplings per realization on, one
+    helper thread fills a preallocated buffer with realization k + 1's
+    standard normals (``rng.standard_normal(out=...)``, which releases the
+    GIL, so it runs on a second CPU) while this thread runs realization k.
+    This thread then waits for that draw, turns the buffer into couplings
+    with :func:`couplings_from_normals`, which gives ``rng.normal``'s bits,
+    and only then submits the next draw into the same buffer.  Each
+    realization keeps its own generator and draw order, so every ND value is
+    :func:`run_realization`'s and the output does not depend on the thread.
+    The helper is shut down before the generator finishes, raises or is
+    closed, so no helper thread outlives the call or is alive when a later
+    pool forks.  Pool workers never start one: every CPU is busy there.
     """
-    params = tasks[0][0]
     size = params.n_firms * (params.n_firms - 1) // 2
     if size < _PIPELINE_MIN_COUPLINGS:
-        yield from map(_realization_nd, tasks)
+        yield from map(_realization_nd, itertools.repeat(params), seeds)
         return
     normals = np.empty(size)
-    rngs = (np.random.default_rng(seed) for _, seed in tasks)
+    rngs = map(np.random.default_rng, seeds)
     rng = next(rngs)
     with ThreadPoolExecutor(1) as helper:
         draw = helper.submit(rng.standard_normal, out=normals)
@@ -175,41 +175,33 @@ def _one_worker_nds(tasks: list[tuple[ModelParams, np.random.SeedSequence]]) -> 
             rng = following
 
 
-def _child(seed: np.random.SeedSequence, k: int) -> np.random.SeedSequence:
-    """Child k of ``seed``: what ``seed.spawn`` gives as its k-th child on a
-    fresh sequence, without advancing ``seed``."""
-    return np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, k),
-                                  pool_size=seed.pool_size)
-
-
-def _realization_tasks(
-    params: ModelParams, seed: np.random.SeedSequence, k_realizations: int
-) -> list[tuple[ModelParams, np.random.SeedSequence]]:
-    """Realization k of the ensemble is seeded with child k of ``seed``."""
-    return [(params, _child(seed, k)) for k in range(k_realizations)]
-
-
 def _value_outcomes(
-    task_lists: list[list[tuple[ModelParams, np.random.SeedSequence]]], workers: int
+    values: list[tuple[ModelParams, np.random.SeedSequence]], k_realizations: int, workers: int
 ) -> Iterator[tuple[int, list[int] | Exception]]:
     """Yield (value index, ND values or the error that failed it) in index order.
 
-    One loop runs every value on ``workers`` workers, which the callers cap
-    at the number of realizations.  ``workers`` counts worker processes.
-    One worker runs each value in this process through :func:`_one_worker_nds`,
-    which from N = 363 on also uses one helper thread for coupling draws;
-    the couplings are standard normals scaled in place, with
-    ``rng.normal``'s bits, so the output does not depend on that thread.
-    Several workers share one fork-context pool, whose ``map`` takes every
-    value's realizations up front, value-major, in chunks of about
-    ``len(tasks) / (4 * workers)``, while the values are collected in order.
+    A value is its params and its root ``SeedSequence``; realization k is
+    seeded with child k of the root's ``spawn``, taken once per value on a
+    copy of the root, so no root advances and a re-run value keeps its seeds.
+    One loop runs every value on ``workers`` worker processes, which the
+    callers cap at the number of realizations.  One worker runs each value
+    in this process through :func:`_one_worker_nds`.  Several workers share
+    one fork-context pool, whose ``map`` takes every value's realizations up
+    front, value-major, in chunks of about ``k_realizations / (4 * workers)``,
+    while the values are collected in order.
     A ``MemoryError`` fails its own value.  A dead worker breaks the pool
     and every pending future with it, so the value being collected is
     re-run alone on a fresh pool and fails only if it breaks that one too;
     every value not yet collected is then re-run on a fresh pool.  Close the
     generator to stop early: queued chunks are cancelled instead of run.
     """
-    remaining = list(range(len(task_lists)))
+    runs = [
+        (params, np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key,
+                                        pool_size=root.pool_size).spawn(k_realizations))
+        for params, root in values
+    ]
+    chunksize = max(1, k_realizations // (workers * 4))
+    remaining = list(range(len(runs)))
     alone = False
     while remaining:
         batch = remaining[:1] if alone else list(remaining)
@@ -218,9 +210,9 @@ def _value_outcomes(
                 if workers > 1 else None)
         try:
             results = [
-                _one_worker_nds(tasks) if pool is None else
-                pool.map(_realization_nd, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
-                for tasks in (task_lists[index] for index in batch)
+                _one_worker_nds(params, seeds) if pool is None else
+                pool.map(_realization_nd, itertools.repeat(params), seeds, chunksize=chunksize)
+                for params, seeds in (runs[index] for index in batch)
             ]
             for index, nd_values in zip(batch, results):
                 try:
@@ -249,16 +241,13 @@ def run_ensemble(
 ) -> EnsembleStats:
     """K independent realizations, each with fresh couplings and initial state.
 
-    Realization k is seeded with child k of ``master_seed``, so the
-    multiset of default counts (and their index order, hence all
-    aggregates) does not depend on ``threads``, the number of worker
-    processes.  One worker runs in this process and, from N = 363 on, also
-    uses one helper thread that draws the next realization's couplings, as
-    standard normals scaled in place with ``rng.normal``'s bits; the output
-    does not depend on that thread either, and it is shut down before the
-    call returns or raises.  This is the one-value case of the scheduler
-    :func:`run_sweep` uses.  The histogram counts each default count on its
-    own.
+    Realization k is seeded with child k of ``master_seed``, as a fresh
+    sequence's ``spawn`` gives it, so the multiset of default counts (and
+    their index order, hence all aggregates) does not depend on ``threads``,
+    the number of worker processes.  One worker runs in this process, as
+    :func:`_one_worker_nds` describes.  This is the one-value case of the
+    scheduler :func:`run_sweep` uses.  The histogram counts each default
+    count on its own.
     ``k_realizations`` and ``threads`` must be integers >= 1 and
     ``master_seed`` an integer >= 0 or a ``SeedSequence``, which is not
     advanced; anything else raises ``ValueError`` before any work.
@@ -266,8 +255,7 @@ def run_ensemble(
     require_integer("k_realizations", k_realizations, 1)
     require_integer("threads", threads, 1)
     root = seed_sequence("master_seed", master_seed)
-    tasks = _realization_tasks(params, root, k_realizations)
-    [(_, outcome)] = _value_outcomes([tasks], min(threads, k_realizations))
+    [(_, outcome)] = _value_outcomes([(params, root)], k_realizations, min(threads, k_realizations))
     if isinstance(outcome, Exception):
         raise outcome
     return ensemble_stats(outcome)
@@ -277,11 +265,8 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """Run one ensemble per sweep value and collect its stats and the argmin.
 
     ``threads`` counts worker processes, and every value's realizations
-    share one worker pool.  One worker runs in this process and, from
-    N = 363 on, also uses one helper thread that draws the next
-    realization's couplings, as standard normals scaled in place with
-    ``rng.normal``'s bits; the output does not depend on that thread, and it
-    is shut down before the call returns or raises.  As each value is
+    share one worker pool.  One worker runs in this process, as
+    :func:`_one_worker_nds` describes.  As each value is
     collected, one ``[firmglass] sweep i/n j0=... workers=w done`` line
     (``failed`` for a lost value) goes to stderr; w is ``threads``, capped at
     the sweep's realizations.  A value that exhausts memory or loses a worker
@@ -291,15 +276,12 @@ def run_sweep(spec: SweepSpec, *, threads: int = 1) -> SweepResult:
     """
     require_integer("threads", threads, 1)
     started = time.perf_counter()
-    master = np.random.SeedSequence(spec.master_seed)
-    task_lists = [
-        _realization_tasks(spec.params_at(value), _child(master, index), spec.k_realizations)
-        for index, value in enumerate(spec.values)
-    ]
+    roots = np.random.SeedSequence(spec.master_seed).spawn(len(spec.values))
+    values = [(spec.params_at(value), root) for value, root in zip(spec.values, roots)]
     workers = min(threads, len(spec.values) * spec.k_realizations)
     points: list[SweepPoint] = []
     failed: dict[str, str] = {}
-    with closing(_value_outcomes(task_lists, workers)) as outcomes:
+    with closing(_value_outcomes(values, spec.k_realizations, workers)) as outcomes:
         for index, outcome in outcomes:
             value = spec.values[index]
             lost = isinstance(outcome, Exception)

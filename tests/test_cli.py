@@ -131,6 +131,16 @@ def test_threads_default_to_the_usable_cpus(capsys):
     assert err.splitlines() == [f"[firmglass] sweep 1/1 j0=0 workers={min(cpus, 8)} done"]
 
 
+@pytest.mark.parametrize("count, default", [(3, 3), (None, 1)])
+def test_threads_default_without_sched_getaffinity(monkeypatch, capsys, count, default):
+    # macOS has no os.sched_getaffinity, and os.cpu_count may return None
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli(["--help"]) == 0
+    assert "usage: firmglass" in capsys.readouterr().out
+    assert cli_module.build_parser().parse_args(["run"]).threads == default
+
+
 def test_sweep_invalid_range_exits_one(capsys):
     # a bound is refused by its flag before numpy or the model sees it
     for bounds, flag in ((["--j0-min", "0", "--j0-max", "-1"], "--j0-max"),

@@ -125,6 +125,17 @@ def test_ensemble_thread_count_does_not_change_results():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_of_a_sequence_that_has_spawned_seeds_as_a_fresh_one(threads):
+    # realization k takes child k even of a sequence whose children 0 and 1
+    # are already spawned, and the call spawns none on it
+    seed = np.random.SeedSequence(6)
+    seed.spawn(2)
+    expected = run_ensemble(DESK, 5, np.random.SeedSequence(6), threads=threads).nd_values
+    assert run_ensemble(DESK, 5, seed, threads=threads).nd_values == expected
+    assert seed.n_children_spawned == 2
+
+
 def test_ensemble_weak_coupling_level():
     # desk-scale sanity: weak coupling sits near the independent-firm level
     params = ModelParams(n_firms=200, j0=0.0001, sigma_j=0.001)
@@ -247,8 +258,7 @@ def test_emit_reports_path_on_failure(tmp_path):
         emit(result, format="json", path=bad_path)
 
 
-def _realization_nd_exhausted_at_0002(task):
-    params, seed_seq = task
+def _realization_nd_exhausted_at_0002(params, seed_seq):
     if params.j0 == 0.002:
         raise MemoryError("couplings do not fit")
     return run_realization(params, seed_seq).nd
@@ -274,9 +284,8 @@ def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch, capsys):
         ]
 
 
-def _realization_nd_dying_at_0002(task):
+def _realization_nd_dying_at_0002(params, seed_seq):
     # a module-level function, so the worker processes can unpickle it
-    params, seed_seq = task
     if params.j0 == 0.002:
         os._exit(1)
     return run_realization(params, seed_seq).nd
@@ -298,8 +307,7 @@ def test_dead_worker_is_marked_failed_and_skipped(monkeypatch):
     assert "BrokenProcessPool" in failed["0.002"]
 
 
-def _realization_nd_dying_at(j0, task):
-    params, seed_seq = task
+def _realization_nd_dying_at(j0, params, seed_seq):
     if params.j0 == j0:
         os._exit(1)
     return run_realization(params, seed_seq).nd
@@ -379,11 +387,11 @@ def test_sweep_bytes_do_not_depend_on_worker_count():
     assert texts[2] == texts[0]
 
 
-def _realization_nd_logged(log_path, task):
+def _realization_nd_logged(log_path, params, seed_seq):
     time.sleep(0.02)
     with open(log_path, "a", encoding="utf-8") as log:
         log.write("x\n")
-    return run_realization(*task).nd
+    return run_realization(params, seed_seq).nd
 
 
 def test_parent_error_cancels_the_queued_values(monkeypatch, tmp_path):
@@ -514,9 +522,8 @@ def test_helper_thread_never_outlives_the_call(monkeypatch):
     assert set(threading.enumerate()) <= threads_before
 
     root = np.random.SeedSequence(44)
-    task_lists = [experiment._realization_tasks(ABOVE_GATE, experiment._child(root, index), 2)
-                  for index in range(3)]
-    outcomes = experiment._value_outcomes(task_lists, 1)
+    values = [(ABOVE_GATE, child) for child in root.spawn(3)]
+    outcomes = experiment._value_outcomes(values, 2, 1)
     assert next(outcomes)[0] == 0
     outcomes.close()
     assert set(threading.enumerate()) <= threads_before
