@@ -73,6 +73,13 @@ def _simulate(spec_of: Callable[[argparse.Namespace], SweepSpec],
                         format=args.format, path=args.out)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the ``--threads`` default."""
+    # os.sched_getaffinity is missing on some platforms (macOS), and
+    # os.cpu_count may return None
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firmglass",
@@ -89,10 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble = _flags()
     ensemble.add_argument("--n", type=int, default=1000, help="number of firms")
     ensemble.add_argument("--k", type=int, default=1000, help="realizations per ensemble")
-    # os.sched_getaffinity is missing on some platforms (macOS), and
-    # os.cpu_count may return None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    ensemble.add_argument("--threads", type=int, default=cpus,
+    ensemble.add_argument("--threads", type=int, default=_usable_cpus(),
                           help="parallel workers (default: the CPUs this process may use)")
     # run and sweep set the model; reproduce takes it from the preset.  --help
     # lists --f-mode before the output flags and the other model flags after

@@ -131,34 +131,25 @@ def _realization_nd(params: ModelParams, seed_seq: np.random.SeedSequence) -> in
     return run_realization(params, seed_seq).nd
 
 
-#: The fewest couplings per realization at which one worker draws the next
-#: realization's couplings on a helper thread: 2**16, from N = 363 on.
-#: Below it the gain is within run-to-run noise, and at small N the two
-#: thread hand-offs per realization cost more than the overlap saves.
-_PIPELINE_MIN_COUPLINGS = 2 ** 16
-
-
 def _one_worker_nds(params: ModelParams, seeds: list[np.random.SeedSequence]) -> Iterator[int]:
     """ND values of one value's realizations, run in order in this process.
 
-    From :data:`_PIPELINE_MIN_COUPLINGS` couplings per realization on, one
-    helper thread fills a preallocated buffer with realization k + 1's
-    standard normals (``rng.standard_normal(out=...)``, which releases the
-    GIL, so it runs on a second CPU) while this thread runs realization k.
-    This thread then waits for that draw, turns the buffer into couplings
-    with :func:`couplings_from_normals`, which gives ``rng.normal``'s bits,
-    and only then submits the next draw into the same buffer.  Each
-    realization keeps its own generator and draw order, so every ND value is
-    :func:`run_realization`'s and the output does not depend on the thread.
-    The helper is shut down before the generator finishes, raises or is
-    closed, so no helper thread outlives the call or is alive when a later
-    pool forks.  Pool workers never start one: every CPU is busy there.
+    At every N, one helper thread fills a preallocated buffer with
+    realization k + 1's standard normals (``rng.standard_normal(out=...)``,
+    which releases the GIL, so it runs on a second CPU) while this thread
+    runs realization k.  This thread then waits for that draw, turns the
+    buffer into couplings with :func:`couplings_from_normals`, which gives
+    ``rng.normal``'s bits, and only then submits the next draw into the same
+    buffer.  Each realization keeps its own generator and draw order, so
+    every ND value is :func:`run_realization`'s and the output does not
+    depend on the thread.  Below N of about 200 the two thread hand-offs,
+    about 0.1 ms per realization, cost more than the overlap saves; no
+    benchmark workload or command-line default runs one worker there.  The
+    helper is shut down before the generator finishes, raises or is closed,
+    so no helper thread outlives the call or is alive when a later pool
+    forks.  Pool workers never start one: every CPU is busy there.
     """
-    size = params.n_firms * (params.n_firms - 1) // 2
-    if size < _PIPELINE_MIN_COUPLINGS:
-        yield from map(_realization_nd, itertools.repeat(params), seeds)
-        return
-    normals = np.empty(size)
+    normals = np.empty(params.n_firms * (params.n_firms - 1) // 2)
     rngs = map(np.random.default_rng, seeds)
     rng = next(rngs)
     with ThreadPoolExecutor(1) as helper:
@@ -185,10 +176,11 @@ def _value_outcomes(
     copy of the root, so no root advances and a re-run value keeps its seeds.
     One loop runs every value on ``workers`` worker processes, which the
     callers cap at the number of realizations.  One worker runs each value
-    in this process through :func:`_one_worker_nds`.  Several workers share
-    one fork-context pool, whose ``map`` takes every value's realizations up
-    front, value-major, in chunks of about ``k_realizations / (4 * workers)``,
-    while the values are collected in order.
+    in this process through :func:`_one_worker_nds`, with its helper thread
+    at every N.  Several workers share one fork-context pool, whose ``map``
+    takes every value's realizations up front, value-major, in chunks of
+    about ``k_realizations / (4 * workers)``, while the values are collected
+    in order.
     A ``MemoryError`` fails its own value.  A dead worker breaks the pool
     and every pending future with it, so the value being collected is
     re-run alone on a fresh pool and fails only if it breaks that one too;

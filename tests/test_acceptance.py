@@ -8,7 +8,6 @@ count (check 09), so results reproduce bit for bit.
 """
 
 import csv
-import os
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -27,6 +26,7 @@ from firmglass.core import (
     micro_update,
     sample_coupling_matrix,
 )
+from firmglass.cli import _usable_cpus
 from firmglass.experiment import (
     SweepSpec,
     result_to_json,
@@ -45,7 +45,7 @@ ARTIFACTS = Path(__file__).resolve().parents[1] / "artifacts"
 
 PARAMAGNETIC_LEVEL = 0.202
 
-WORKERS = len(os.sched_getaffinity(0))
+WORKERS = _usable_cpus()
 
 
 def report(number: int, label: str, ok: bool, detail: str) -> None:

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -674,7 +673,7 @@ def test_single_firm_frequency_matches_chain():
     # chain at (1/3, 1/3); check the default frequency over many seeds, each
     # usable CPU summing every workers-th seed
     n_seeds = 100_000
-    workers = len(os.sched_getaffinity(0))
+    workers = cli._usable_cpus()
     if workers == 1:
         hits = lone_firm_defaults(range(n_seeds))
     else:

@@ -12,7 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from firmglass.core import F_TABLES, ModelParams, f_table_from_weights, run_realization
+from firmglass.cli import _usable_cpus
+from firmglass.core import (F_TABLES, R_MAX, STEPS, ModelParams, f_table_from_weights,
+                            run_realization)
 from firmglass.experiment import (
     CSV_COLUMNS,
     PRESET_NAMES,
@@ -267,21 +269,22 @@ def _realization_nd_exhausted_at_0002(params, seed_seq):
 def test_exhausted_value_is_marked_failed_and_skipped(monkeypatch, capsys):
     import firmglass.experiment as experiment
 
+    # only pool workers run _realization_nd; one worker's value fails in
+    # test_couplings_exhausted_fail_only_their_value
     monkeypatch.setattr(experiment, "_realization_nd", _realization_nd_exhausted_at_0002)
-    for threads in (1, 2):
-        # numpy floats, as `firmglass sweep` builds them, name the value as a float
-        result = experiment.run_sweep(
-            desk_spec(values=tuple(np.linspace(0.0, 0.004, 3)), k=3), threads=threads
-        )
-        assert [point.sweep_value for point in result.points] == [0.0, 0.004]
-        assert list(result.metadata["failed_values"]) == ["0.002"]
-        assert result.argmin_index is not None
-        # one progress line per value, in value order, naming the worker count
-        assert capsys.readouterr().err.splitlines() == [
-            f"[firmglass] sweep 1/3 j0=0 workers={threads} done",
-            f"[firmglass] sweep 2/3 j0=0.002 workers={threads} failed",
-            f"[firmglass] sweep 3/3 j0=0.004 workers={threads} done",
-        ]
+    # numpy floats, as `firmglass sweep` builds them, name the value as a float
+    result = experiment.run_sweep(
+        desk_spec(values=tuple(np.linspace(0.0, 0.004, 3)), k=3), threads=2
+    )
+    assert [point.sweep_value for point in result.points] == [0.0, 0.004]
+    assert list(result.metadata["failed_values"]) == ["0.002"]
+    assert result.argmin_index is not None
+    # one progress line per value, in value order, naming the worker count
+    assert capsys.readouterr().err.splitlines() == [
+        "[firmglass] sweep 1/3 j0=0 workers=2 done",
+        "[firmglass] sweep 2/3 j0=0.002 workers=2 failed",
+        "[firmglass] sweep 3/3 j0=0.004 workers=2 done",
+    ]
 
 
 def _realization_nd_dying_at_0002(params, seed_seq):
@@ -424,13 +427,14 @@ def test_parent_error_cancels_the_queued_values(monkeypatch, tmp_path):
 # one worker's helper thread for coupling draws
 # ---------------------------------------------------------------------------
 
-# N = 400 draws 79800 couplings per realization, just above the helper's gate
-ABOVE_GATE = replace(DESK, n_firms=400)
-GATED_POINTS = {
+HELPER_POINTS = {
     "weak": ModelParams(n_firms=400, j0=1e-4, sigma_j=0.001),
     "glass": ModelParams(n_firms=400, j0=0.0, sigma_j=0.2),
     "drift": ModelParams(n_firms=400, j0=12 / 400, sigma_j=0.001,
                          f_table=F_TABLES["constant_table"]),
+    # a lone firm draws no couplings: the helper fills an empty buffer
+    "lone": ModelParams(n_firms=1, f_table=F_TABLES["constant_table"]),
+    "desk": DESK,
 }
 
 
@@ -449,21 +453,19 @@ def counting_helpers(monkeypatch):
     return built
 
 
-def test_helper_thread_runs_only_from_the_gate_on(monkeypatch):
-    import firmglass.experiment as experiment
-
-    for n in (362, 363):
-        assert (n * (n - 1) // 2 >= experiment._PIPELINE_MIN_COUPLINGS) == (n == 363)
+def test_one_worker_builds_one_helper_per_value(monkeypatch):
     built = counting_helpers(monkeypatch)
-    run_ensemble(DESK, 2, 40)
-    assert built == []
-    run_sweep(desk_spec(values=(0.0, 0.002), k=2, base=ABOVE_GATE))
-    assert built == [(1,), (1,)]
+    for base in (DESK, replace(DESK, n_firms=400)):
+        built.clear()
+        run_ensemble(base, 2, 40)
+        assert built == [(1,)]
+        run_sweep(desk_spec(values=(0.0, 0.002), k=2, base=base))
+        assert built == [(1,), (1,), (1,)]
 
 
-@pytest.mark.parametrize("point", sorted(GATED_POINTS))
+@pytest.mark.parametrize("point", sorted(HELPER_POINTS))
 def test_helper_thread_leaves_every_nd_value(point):
-    params = GATED_POINTS[point]
+    params = HELPER_POINTS[point]
     expected = [run_realization(params, child).nd
                 for child in np.random.SeedSequence(41).spawn(3)]
     assert run_ensemble(params, 3, 41, threads=1).nd_values == expected
@@ -477,7 +479,7 @@ def test_helper_thread_leaves_every_nd_value(point):
     assert texts[1] == texts[0]
 
 
-def test_couplings_exhausted_above_the_gate_fail_only_their_value(monkeypatch, capsys):
+def test_couplings_exhausted_fail_only_their_value(monkeypatch, capsys):
     import firmglass.experiment as experiment
 
     fill = experiment.couplings_from_normals
@@ -490,13 +492,15 @@ def test_couplings_exhausted_above_the_gate_fail_only_their_value(monkeypatch, c
     monkeypatch.setattr(experiment, "couplings_from_normals", exhausted_at_0002)
     built = counting_helpers(monkeypatch)
     threads_before = set(threading.enumerate())
-    result = experiment.run_sweep(
-        desk_spec(values=tuple(np.linspace(0.0, 0.004, 3)), k=3, base=ABOVE_GATE), threads=1
-    )
+    # numpy floats, as `firmglass sweep` builds them, name the value as a float
+    result = experiment.run_sweep(desk_spec(values=tuple(np.linspace(0.0, 0.004, 3)), k=3),
+                                  threads=1)
     assert len(built) == 3
     assert set(threading.enumerate()) <= threads_before
     assert [point.sweep_value for point in result.points] == [0.0, 0.004]
     assert result.metadata["failed_values"] == {"0.002": "MemoryError: couplings do not fit"}
+    assert result.argmin_index is not None
+    # one progress line per value, in value order, naming the worker count
     assert capsys.readouterr().err.splitlines() == [
         "[firmglass] sweep 1/3 j0=0 workers=1 done",
         "[firmglass] sweep 2/3 j0=0.002 workers=1 failed",
@@ -509,7 +513,7 @@ def test_helper_thread_never_outlives_the_call(monkeypatch):
 
     built = counting_helpers(monkeypatch)
     threads_before = set(threading.enumerate())
-    run_ensemble(ABOVE_GATE, 2, 43)
+    run_ensemble(DESK, 2, 43)
     assert set(threading.enumerate()) <= threads_before
 
     def failing_stats(nd_values):
@@ -518,11 +522,11 @@ def test_helper_thread_never_outlives_the_call(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(experiment, "ensemble_stats", failing_stats)
         with pytest.raises(RuntimeError, match="stats failed"):
-            run_sweep(desk_spec(values=(0.0, 0.002), k=2, base=ABOVE_GATE))
+            run_sweep(desk_spec(values=(0.0, 0.002), k=2))
     assert set(threading.enumerate()) <= threads_before
 
     root = np.random.SeedSequence(44)
-    values = [(ABOVE_GATE, child) for child in root.spawn(3)]
+    values = [(DESK, child) for child in root.spawn(3)]
     outcomes = experiment._value_outcomes(values, 2, 1)
     assert next(outcomes)[0] == 0
     outcomes.close()
@@ -542,7 +546,7 @@ def test_empty_result_emits_header_only(capsys):
 # ensemble standard errors
 # ---------------------------------------------------------------------------
 
-WORKERS = len(os.sched_getaffinity(0))
+WORKERS = _usable_cpus()
 
 
 def standard_error(stats):
@@ -645,6 +649,64 @@ def test_coupling_spread_raises_the_level_at_zero_mean_coupling():
     exact = sum(math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
                 * default_fraction_markov(1 / 3, 1 / 3, steps=m) for m in range(61))
     assert abs(means[0] - exact) < 3 * errors[0], (means[0], exact, errors[0])
+
+
+def two_firm_mean_nd(j0, sigma_j, f_table, nodes=60):
+    """Exact mean ND of two coupled firms, averaged over J ~ N(j0, sigma_j**2).
+
+    The joint law of (ratings, moves) over 8**2 * 3**2 = 576 states is
+    pushed through 2 * STEPS = 16 micro-updates: each picks a firm with probability
+    1/2, replaces its move by the heat-bath draw given the other's move and
+    the drift, and moves its rating with both barriers.  The coupling
+    integrates out by Gauss-Hermite quadrature.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    couplings = j0 + math.sqrt(2) * sigma_j * x
+    drift = np.array([f_table[v] for v in (-1, 0, 1)])
+    # heat_bath[n, other, v] is P(move v | the other's move) at node n: the
+    # softmax over v of J * (other == v) + f(v)
+    exponents = couplings[:, None, None] * np.eye(3) + drift
+    heat_bath = np.exp(exponents - exponents.max(axis=2, keepdims=True))
+    heat_bath /= heat_bath.sum(axis=2, keepdims=True)
+    # shift[v][r, r'] is 1 if move v takes rating r to r': 0 absorbs, R_MAX
+    # reflects +1
+    ratings = np.arange(R_MAX + 1)
+    shift = [np.eye(R_MAX + 1)[np.where(ratings == 0, 0, np.clip(ratings + v, 0, R_MAX))]
+             for v in (-1, 0, 1)]
+    # law[n, r_first, r_second, s_first, s_second], from ratings uniform on
+    # 1..R_MAX and moves uniform
+    law = np.zeros((nodes, R_MAX + 1, R_MAX + 1, 3, 3))
+    law[:, 1:, 1:] = 1 / (R_MAX * R_MAX * 3 * 3)
+
+    def update_first(law):
+        kept = law.sum(axis=3)  # the old move is replaced
+        new = np.empty_like(law)
+        for v in range(3):
+            new[:, :, :, v] = np.einsum("nabs,ac,ns->ncbs", kept, shift[v], heat_bath[:, :, v])
+        return new
+
+    def update_second(law):
+        return update_first(law.transpose(0, 2, 1, 4, 3)).transpose(0, 2, 1, 4, 3)
+
+    for _ in range(2 * STEPS):
+        law = (update_first(law) + update_second(law)) / 2
+    nd = law[:, 0].sum(axis=(1, 2, 3)) + law[:, :, 0].sum(axis=(1, 2, 3))
+    return float(w @ nd) / math.sqrt(math.pi)
+
+
+def test_two_firm_ensembles_match_the_exact_chain():
+    # the only check of the whole dynamics with couplings on against an
+    # exact law: selection, heat bath, drift and both barriers together
+    drift = F_TABLES["constant_table"]
+    assert abs(two_firm_mean_nd(0.0, 0.0, F_TABLES["zero"]) - 0.399936) < 1e-6
+    k = 10_000
+    for j0, sigma_j, seed, level in ((1.5, 2.0, 1501, 0.310525), (-1.0, 3.0, 1502, 0.354949)):
+        exact = two_firm_mean_nd(j0, sigma_j, drift)
+        assert abs(exact - level) < 1e-6, (j0, sigma_j, exact)
+        stats = run_ensemble(ModelParams(n_firms=2, j0=j0, sigma_j=sigma_j, f_table=drift),
+                             k, seed, threads=1)
+        error = standard_error(stats)
+        assert abs(stats.mean_nd - exact) < 4 * error, (j0, sigma_j, stats.mean_nd, exact, error)
 
 
 # ---------------------------------------------------------------------------
