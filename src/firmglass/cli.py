@@ -170,7 +170,15 @@ def _range(args: argparse.Namespace, name: str) -> list[float]:
         raise ValueError(f"--{name}-max ({hi}) is too far above --{name}-min ({lo})")
     points = getattr(args, f"{name}_points")
     require_integer(f"--{name}-points", points, 2)
-    return np.linspace(lo, hi, points).tolist()
+    values = np.linspace(lo, hi, points).tolist()
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"--{name}-points ({points}) repeats a value between "
+                         f"--{name}-min ({lo}) and --{name}-max ({hi})")
+    return values
+
+
+#: the columns of a fixed point's row in both ``meanfield`` formats
+_MEANFIELD_FIELDS = ("p_up", "q_down", "stable", "nd_fraction")
 
 
 def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
@@ -185,33 +193,16 @@ def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
         np.array([point.q_down for point in every_point]),
         STEPS, R_MAX,
     ).tolist())
-    records = [
-        {
-            "beta": beta,
-            "fixed_points": [
-                {
-                    "p_up": point.p_up,
-                    "q_down": point.q_down,
-                    "stable": point.stable,
-                    "nd_fraction": next(levels),
-                }
-                for point in points
-            ],
-        }
-        for beta, points in scan
-    ]
+    # one row per fixed point, in _MEANFIELD_FIELDS order, grouped by beta
+    table = [(beta, [(point.p_up, point.q_down, point.stable, next(levels)) for point in points])
+             for beta, points in scan]
     if args.format == "json":
-        return [json.dumps(
-            {"steps": STEPS, "r_max": R_MAX, "betas": records},
-            indent=2,
-        ) + "\n"]
-    rows = (
-        [record["beta"], point["p_up"], point["q_down"],
-         point["stable"], point["nd_fraction"]]
-        for record in records
-        for point in record["fixed_points"]
-    )
-    return csv_chunks(["beta", "p_up", "q_down", "stable", "nd_fraction"], rows)
+        records = [{"beta": beta,
+                    "fixed_points": [dict(zip(_MEANFIELD_FIELDS, row)) for row in rows]}
+                   for beta, rows in table]
+        return [json.dumps({"steps": STEPS, "r_max": R_MAX, "betas": records}, indent=2) + "\n"]
+    return csv_chunks(("beta", *_MEANFIELD_FIELDS),
+                      ((beta, *row) for beta, rows in table for row in rows))
 
 
 def _oracle_payload(args: argparse.Namespace) -> Iterable[str]:

@@ -41,7 +41,7 @@ softmax.
 
 :func:`run_realization` draws the couplings and hands them to
 :func:`simulate`; ``experiment._one_worker_nds`` draws them apart from the
-run, and its docstring says when and why.
+run, and its docstring says why.
 """
 
 from __future__ import annotations

@@ -406,10 +406,10 @@ def ordered_phase_default_fraction(steps: int = STEPS, r_max: int = R_MAX) -> fl
     symmetry; only the all-down one defaults everybody, so for steps >= r_max
     the average is exactly 1/3.
     """
-    corners = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-    return (
-        sum(default_fraction_markov(p, q, steps, r_max) for p, q in corners) / 3.0
-    )
+    # the corners (up, down) = (0, 0), (1, 0) and (0, 1), in one block
+    levels = _default_fractions(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
+                                steps, r_max)
+    return sum(levels.tolist()) / 3.0
 
 
 def _deviation_grid_rows(

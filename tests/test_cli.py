@@ -149,7 +149,10 @@ def test_sweep_invalid_range_exits_one(capsys):
                          (["--j0-min", "nan", "--j0-max", "0.01"], "--j0-min"),
                          (["--j0-min", "0", "--j0-max", "inf"], "--j0-max"),
                          # each bound finite, but not the span between them
-                         (["--j0-min=-1e308", "--j0-max", "1e308"], "--j0-max")):
+                         (["--j0-min=-1e308", "--j0-max", "1e308"], "--j0-max"),
+                         # a span too narrow for distinct points
+                         (["--j0-min", "0", "--j0-max", "5e-324", "--j0-points", "4"],
+                          "--j0-points")):
         code, out, err = run_cli(capsys, "sweep", *DESK, *bounds)
         assert code == 1, bounds
         [line] = err.splitlines()
@@ -271,7 +274,9 @@ def test_meanfield_refuses_a_short_or_empty_beta_range(capsys):
     for argv in (["--beta-points", "1"], ["--beta-points", "0"],
                  ["--beta-min", "3", "--beta-max", "2"],
                  # equal to the default --beta-max of 6
-                 ["--beta-min", "6"]):
+                 ["--beta-min", "6"],
+                 # linspace repeats 0.0 in a span this narrow
+                 ["--beta-max", "5e-324", "--beta-points", "4"]):
         code, out, err = run_cli(capsys, "meanfield", *argv)
         assert code == 1, argv
         assert "configuration error" in err and out == ""

@@ -7,14 +7,16 @@ import math
 import os
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
 from firmglass.cli import _usable_cpus
-from firmglass.core import (F_TABLES, R_MAX, STEPS, ModelParams, f_table_from_weights,
-                            run_realization)
+from firmglass.core import (F_TABLES, R_MAX, SPIN_VALUES, STEPS, ModelParams, count_defaults,
+                            f_table_from_weights, initial_state, run_realization, time_step)
 from firmglass.experiment import (
     CSV_COLUMNS,
     PRESET_NAMES,
@@ -651,52 +653,64 @@ def test_coupling_spread_raises_the_level_at_zero_mean_coupling():
     assert abs(means[0] - exact) < 3 * errors[0], (means[0], exact, errors[0])
 
 
-def two_firm_mean_nd(j0, sigma_j, f_table, nodes=60):
-    """Exact mean ND of two coupled firms, averaged over J ~ N(j0, sigma_j**2).
+def exact_nd_law(couplings, f_table, steps=STEPS, r_max=R_MAX):
+    """Exact P(ND = 0..N) after ``steps`` * N micro-updates, one row per coupling matrix.
 
-    The joint law of (ratings, moves) over 8**2 * 3**2 = 576 states is
-    pushed through 2 * STEPS = 16 micro-updates: each picks a firm with probability
-    1/2, replaces its move by the heat-bath draw given the other's move and
-    the drift, and moves its rating with both barriers.  The coupling
-    integrates out by Gauss-Hermite quadrature.
+    ``couplings`` is a stack of symmetric, zero-diagonal N x N matrices with
+    N <= 3.  The joint law of (ratings, moves), (r_max + 1)**N * 3**N states
+    per matrix, starts from ratings uniform on 1..r_max and moves uniform.
+    Each micro-update picks a firm with probability 1/N, replaces its move
+    by the heat-bath draw given the other moves and the drift, and moves its
+    rating with both barriers.
     """
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    couplings = j0 + math.sqrt(2) * sigma_j * x
-    drift = np.array([f_table[v] for v in (-1, 0, 1)])
-    # heat_bath[n, other, v] is P(move v | the other's move) at node n: the
-    # softmax over v of J * (other == v) + f(v)
-    exponents = couplings[:, None, None] * np.eye(3) + drift
-    heat_bath = np.exp(exponents - exponents.max(axis=2, keepdims=True))
-    heat_bath /= heat_bath.sum(axis=2, keepdims=True)
-    # shift[v][r, r'] is 1 if move v takes rating r to r': 0 absorbs, R_MAX
+    stack, n = couplings.shape[:2]
+    # shift[v][r, r'] is 1 if move v takes rating r to r': 0 absorbs, r_max
     # reflects +1
-    ratings = np.arange(R_MAX + 1)
-    shift = [np.eye(R_MAX + 1)[np.where(ratings == 0, 0, np.clip(ratings + v, 0, R_MAX))]
-             for v in (-1, 0, 1)]
-    # law[n, r_first, r_second, s_first, s_second], from ratings uniform on
-    # 1..R_MAX and moves uniform
-    law = np.zeros((nodes, R_MAX + 1, R_MAX + 1, 3, 3))
-    law[:, 1:, 1:] = 1 / (R_MAX * R_MAX * 3 * 3)
+    ratings = np.arange(r_max + 1)
+    shift = [np.eye(r_max + 1)[np.where(ratings == 0, 0, np.clip(ratings + v, 0, r_max))]
+             for v in SPIN_VALUES]
+    drift = np.array([f_table[v] for v in SPIN_VALUES])
+    # chosen[j, s_1..s_N, v] is 1 if firm j's move in the configuration is v
+    chosen = (np.indices((3,) * n)[..., None] == np.arange(3)).astype(float)
+    # weights[i][v][m, 1.., s_1..s_N] is P(firm i moves v | the other moves)
+    # under matrix m, the softmax over v of sum_j J_ij * (s_j == v) + f(v);
+    # it does not depend on s_i, whose axis has length 1
+    weights = []
+    for i in range(n):
+        exponents = np.einsum("mj,j...v->m...v", couplings[:, i], chosen) + drift
+        heat_bath = np.exp(exponents - exponents.max(axis=-1, keepdims=True))
+        heat_bath = (heat_bath / heat_bath.sum(axis=-1, keepdims=True)).take([0], axis=1 + i)
+        weights.append([heat_bath[..., v].reshape((stack,) + (1,) * n + heat_bath.shape[1:-1])
+                        for v in range(3)])
+    # law[m, r_1..r_N, s_1..s_N], the moves as indices 0, 1, 2 of -1, 0, +1
+    law = np.zeros((stack,) + (r_max + 1,) * n + (3,) * n)
+    law[(slice(None),) + (slice(1, None),) * n] = 1 / (r_max * 3) ** n
 
-    def update_first(law):
-        kept = law.sum(axis=3)  # the old move is replaced
-        new = np.empty_like(law)
-        for v in range(3):
-            new[:, :, :, v] = np.einsum("nabs,ac,ns->ncbs", kept, shift[v], heat_bath[:, :, v])
-        return new
+    def update(law, i):
+        # the old move is replaced; the rating moves with the new one
+        kept = np.moveaxis(law.sum(axis=1 + n + i, keepdims=True), 1 + i, -1)
+        return np.concatenate([np.moveaxis(kept @ shift[v], -1, 1 + i) * weights[i][v]
+                               for v in range(3)], axis=1 + n + i)
 
-    def update_second(law):
-        return update_first(law.transpose(0, 2, 1, 4, 3)).transpose(0, 2, 1, 4, 3)
+    for _ in range(steps * n):
+        law = sum(update(law, i) for i in range(n)) / n
+    rating_law = law.sum(axis=tuple(range(1 + n, 1 + 2 * n)))
+    defaulted = sum(np.indices((r_max + 1,) * n) == 0)
+    return np.stack([rating_law[:, defaulted == k].sum(axis=1) for k in range(n + 1)], axis=1)
 
-    for _ in range(2 * STEPS):
-        law = (update_first(law) + update_second(law)) / 2
-    nd = law[:, 0].sum(axis=(1, 2, 3)) + law[:, :, 0].sum(axis=(1, 2, 3))
-    return float(w @ nd) / math.sqrt(math.pi)
+
+def two_firm_mean_nd(j0, sigma_j, f_table, nodes=60):
+    """Exact mean ND of two coupled firms, averaged over J ~ N(j0, sigma_j**2)
+    by Gauss-Hermite quadrature over :func:`exact_nd_law`."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    couplings = (j0 + math.sqrt(2) * sigma_j * x)[:, None, None] * (1 - np.eye(2))
+    return float(w @ exact_nd_law(couplings, f_table) @ np.arange(3)) / math.sqrt(math.pi)
 
 
 def test_two_firm_ensembles_match_the_exact_chain():
-    # the only check of the whole dynamics with couplings on against an
-    # exact law: selection, heat bath, drift and both barriers together
+    # with the N = 3 test below, the only checks of the whole dynamics with
+    # couplings on against an exact law: selection, heat bath, drift and
+    # both barriers together
     drift = F_TABLES["constant_table"]
     assert abs(two_firm_mean_nd(0.0, 0.0, F_TABLES["zero"]) - 0.399936) < 1e-6
     k = 10_000
@@ -707,6 +721,58 @@ def test_two_firm_ensembles_match_the_exact_chain():
                              k, seed, threads=1)
         error = standard_error(stats)
         assert abs(stats.mean_nd - exact) < 4 * error, (j0, sigma_j, stats.mean_nd, exact, error)
+
+
+def three_firm_matrix(j12, j13, j23):
+    return np.array([[0.0, j12, j13], [j12, 0.0, j23], [j13, j23, 0.0]])
+
+
+def three_firm_nd_counts(case):
+    """ND counts 0..3 of ``realizations`` runs on one fixed matrix, driven by
+    core.initial_state and core.time_step from one generator."""
+    couplings, f_mode, seed, realizations = case
+    params = ModelParams(n_firms=3, f_table=F_TABLES[f_mode])
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(4, dtype=int)
+    for _ in range(realizations):
+        state = initial_state(params, couplings, rng)
+        for _ in range(params.steps):
+            time_step(state, couplings, params, rng)
+        counts[count_defaults(state)] += 1
+    return counts
+
+
+#: (J_12, J_13, J_23), drift and seed of the N = 3 chi-squared test, fixed
+#: before its first run: mixed signs with and without the drift, and fields
+#: of 60 and -45 that saturate the softmax
+THREE_FIRM_CASES = (((1.3, -0.7, 2.1), "constant_table", 3101),
+                    ((-2.4, 0.9, -1.6), "zero", 3102),
+                    ((60.0, -45.0, 0.4), "constant_table", 3103))
+
+
+def test_three_firm_nd_distribution_matches_the_exact_chain():
+    # the whole dynamics with a fixed heterogeneous matrix against the exact
+    # law: K = 10 000 per matrix in two fixed halves, so the counts do not
+    # depend on the worker count; chi-squared on 3 degrees of freedom
+    # against its 1e-4 upper quantile
+    k, bound = 10_000, 21.1
+    jobs = [(three_firm_matrix(*js), f_mode, child, k // 2)
+            for js, f_mode, seed in THREE_FIRM_CASES
+            for child in np.random.SeedSequence(seed).spawn(2)]
+    if WORKERS == 1:
+        halves = list(map(three_firm_nd_counts, jobs))
+    else:
+        # spawned, not forked: this process may hold BLAS or helper threads
+        with ProcessPoolExecutor(WORKERS, mp_context=get_context("spawn")) as pool:
+            halves = list(pool.map(three_firm_nd_counts, jobs))
+    for index, (js, f_mode, _) in enumerate(THREE_FIRM_CASES):
+        [law] = exact_nd_law(three_firm_matrix(*js)[None], F_TABLES[f_mode])
+        assert abs(law.sum() - 1) < 1e-12
+        expected = k * law
+        assert expected.min() >= 5, (js, expected)  # the chi-squared law applies
+        observed = halves[2 * index] + halves[2 * index + 1]
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < bound, (js, f_mode, observed.tolist(), expected.round(1).tolist(), chi2)
 
 
 # ---------------------------------------------------------------------------
