@@ -68,9 +68,20 @@ def _simulate(spec_of: Callable[[argparse.Namespace], SweepSpec],
                                  ("--k", args.k, 1), ("--seed", args.seed, 0)):
         require_integer(flag, value, minimum)
     spec = spec_of(args)
+    out = _out_path(args.out)
     # run_sweep and emit are looked up when the command runs
-    return lambda: emit(run_sweep(spec, threads=args.threads),
-                        format=args.format, path=args.out)
+    return lambda: emit(run_sweep(spec, threads=args.threads), format=args.format, path=out)
+
+
+def _out_path(path: str | None) -> str | None:
+    """Refuse an ``--out`` that is a directory or lies in a missing one; return it."""
+    if path is not None:
+        if os.path.isdir(path):
+            raise ValueError(f"--out {path} is a directory")
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"--out {path}: directory {parent} does not exist")
+    return path
 
 
 def _usable_cpus() -> int:
@@ -126,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mf.add_argument("--beta-min", type=float, default=0.0)
     p_mf.add_argument("--beta-max", type=float, default=6.0)
     p_mf.add_argument("--beta-points", type=int, default=13)
-    p_mf.set_defaults(build=lambda args: partial(write_payload, _meanfield_payload(args), args.out))
+    p_mf.set_defaults(build=lambda args: partial(write_payload, _meanfield_payload(args),
+                                                 _out_path(args.out)))
 
     p_or = sub.add_parser("oracle", parents=[output],
                           help="exact chain and closed-form default fractions")
@@ -136,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, metavar="STEP",
                       help="emit the chain-vs-closed-form deviation grid as CSV, "
                            "spaced STEP apart (default %(const)s)")
-    p_or.set_defaults(build=lambda args: partial(write_payload, _oracle_payload(args), args.out))
+    p_or.set_defaults(build=lambda args: partial(write_payload, _oracle_payload(args),
+                                                 _out_path(args.out)))
 
     p_rep = sub.add_parser("reproduce", parents=[ensemble, output, fmt],
                            help="run a published study preset")

@@ -144,10 +144,12 @@ def _one_worker_nds(params: ModelParams, seeds: list[np.random.SeedSequence]) ->
     every ND value is :func:`run_realization`'s and the output does not
     depend on the thread.  Below N of about 200 the two thread hand-offs,
     about 0.1 ms per realization, cost more than the overlap saves; no
-    benchmark workload or command-line default runs one worker there.  The
-    helper is shut down before the generator finishes, raises or is closed,
-    so no helper thread outlives the call or is alive when a later pool
-    forks.  Pool workers never start one: every CPU is busy there.
+    benchmark workload runs one worker there, and the command line's
+    ``--threads`` default does so only where ``cli._usable_cpus()`` is 1,
+    which makes it one worker at every N.  The helper is shut down before
+    the generator finishes, raises or is closed, so no helper thread
+    outlives the call or is alive when a later pool forks.  Pool workers
+    never start one: every CPU is busy there.
     """
     normals = np.empty(params.n_firms * (params.n_firms - 1) // 2)
     rngs = map(np.random.default_rng, seeds)
@@ -372,15 +374,13 @@ def csv_chunks(header: Sequence, rows: Iterable[Sequence]) -> Iterator[str]:
 
 
 def result_to_csv(result: SweepResult) -> str:
-    """One CSV row per sweep value with the fixed column set."""
-    spec = result.spec
-    rows = []
-    for point in result.points:
-        semivar = point.stats.semivariance_plus
-        rows.append([point.sweep_value, point.stats.mean_nd,
-                     point.stats.mean_nd / spec.base.n_firms,
-                     "" if semivar is None else semivar,
-                     spec.k_realizations, spec.base.n_firms, spec.base.steps, spec.master_seed])
+    """One CSV row per point of :func:`result_to_dict`, with the fixed column set."""
+    document = result_to_dict(result)
+    base = document["base_params"]
+    run = (document["k_realizations"], base["n_firms"], base["steps"], document["master_seed"])
+    rows = ((point["sweep_value"], point["mean_nd"], point["mean_nd_frac"],
+             "" if point["semivariance_plus"] is None else point["semivariance_plus"], *run)
+            for point in document["points"])
     return "".join(csv_chunks(CSV_COLUMNS, rows))
 
 

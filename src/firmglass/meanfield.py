@@ -399,16 +399,16 @@ def default_fraction_closed_form(prob_down: float, prob_up: float) -> float:
     return float(_closed_form_values(np.array([prob_down]), np.array([prob_up]))[0])
 
 
-def ordered_phase_default_fraction(steps: int = STEPS, r_max: int = R_MAX) -> float:
-    """Default fraction averaged over the three fully ordered outcomes.
+def ordered_phase_default_fraction() -> float:
+    """Default fraction averaged over the three fully ordered outcomes: exactly 1/3.
 
     The ordered solutions (all stay, all up, all down) are equally likely by
-    symmetry; only the all-down one defaults everybody, so for steps >= r_max
-    the average is exactly 1/3.
+    symmetry; only the all-down one defaults anybody, and with ``STEPS`` >=
+    ``R_MAX`` it defaults everybody.
     """
     # the corners (up, down) = (0, 0), (1, 0) and (0, 1), in one block
     levels = _default_fractions(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]),
-                                steps, r_max)
+                                STEPS, R_MAX)
     return sum(levels.tolist()) / 3.0
 
 

@@ -369,12 +369,31 @@ def test_reproduce_unknown_preset_exits_one(capsys):
     assert run_cli(capsys, "reproduce", "fig99")[0] == 1
 
 
-def test_io_failure_exits_two(capsys):
-    code, _, err = run_cli(
-        capsys, "run", *DESK, "--out", "/nonexistent-dir/o.json"
-    )
+def test_io_failure_exits_two(tmp_path, capsys):
+    # the directory exists, so only the write finds the name too long
+    target = str(tmp_path / ("x" * 300))
+    code, _, err = run_cli(capsys, "run", *DESK, "--out", target)
     assert code == 2
-    assert "/nonexistent-dir/o.json" in err
+    assert target in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run", *DESK],
+    ["sweep", *DESK, "--j0-min", "0", "--j0-max", "0.01"],
+    ["reproduce", "fig1", "--n", "5", "--k", "2"],
+    ["meanfield"],
+    ["oracle", "--grid"],
+], ids=lambda command: command[0])
+def test_unwritable_out_exits_one_before_any_work(command, tmp_path, capsys):
+    for out, reason in ((tmp_path, "is a directory"),
+                        (tmp_path / "missing" / "o.json", "does not exist")):
+        code, stdout, err = run_cli(capsys, *command, "--out", str(out))
+        assert code == 1, (command, out)
+        [line] = err.splitlines()
+        assert line.startswith(f"firmglass: configuration error: --out {out}"), line
+        assert line.endswith(reason), line
+        assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def readme_commands():

@@ -31,9 +31,8 @@ from firmglass.core import (
 )
 from firmglass.meanfield import default_fraction_markov
 
-# drift tables with one move forced (exp(-1000) underflows to exactly 0)
+# a drift table with the up move forced (exp(-1000) underflows to exactly 0)
 ALWAYS_UP = {-1: -1000.0, 0: -1000.0, 1: 0.0}
-ALWAYS_DOWN = {-1: 0.0, 0: -1000.0, 1: -1000.0}
 
 
 def make_state(couplings, ratings, spins):

@@ -630,6 +630,15 @@ def test_strong_disorder_level_is_a_quench_above_the_frozen_moves():
     assert low > frozen_move_level(n), (means, low, frozen_move_level(n))
 
 
+def independent_move_level(n):
+    """ND/N if every micro-update is an independent uniform move, as at zero
+    field: a firm gets Binomial(8N, 1/N) of them, and the tail past 60
+    updates is below 1e-30."""
+    trials, p = 8 * n, 1 / n
+    return sum(math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
+               * default_fraction_markov(1 / 3, 1 / 3, steps=m) for m in range(61))
+
+
 def test_coupling_spread_raises_the_level_at_zero_mean_coupling():
     # at j0 = 0 and zero drift, ND/N rises with sigma_j * sqrt(N) as the
     # dynamics crosses over from independent moves to the glass
@@ -644,13 +653,26 @@ def test_coupling_spread_raises_the_level_at_zero_mean_coupling():
     for i in range(2):
         bound = 3 * math.hypot(errors[i], errors[i + 1])
         assert means[i + 1] - means[i] > bound, (means, errors)
-    # a zero field makes every micro-update an independent uniform move, and
-    # a firm gets Binomial(8N, 1/N) of them; the tail past 60 updates is
-    # below 1e-30
-    trials, p = 8 * n, 1 / n
-    exact = sum(math.comb(trials, m) * p**m * (1 - p) ** (trials - m)
-                * default_fraction_markov(1 / 3, 1 / 3, steps=m) for m in range(61))
+    exact = independent_move_level(n)
     assert abs(means[0] - exact) < 3 * errors[0], (means[0], exact, errors[0])
+
+
+def test_zero_field_schedule_draws_firms_with_replacement():
+    # at zero field ND/N counts the updates a firm gets: Binomial(8N, 1/N)
+    # when each step draws its firms with replacement, exactly 8 when a step
+    # visits every firm once
+    n, k = 300, 1000
+    stats = run_ensemble(ModelParams(n_firms=n, j0=0.0, sigma_j=0.0), k, 1401,
+                         threads=WORKERS)
+    mean, error = stats.mean_nd / n, standard_error(stats) / n
+    with_replacement = independent_move_level(n)
+    without_replacement = default_fraction_markov(1 / 3, 1 / 3, steps=8)
+    assert abs(with_replacement - 0.198066) < 1e-6
+    assert abs(without_replacement - 0.201907) < 1e-6
+    # the bound must stay inside the gap, or a later N or K could not see it
+    gap = without_replacement - with_replacement
+    assert 3 * error < gap, (error, gap)
+    assert abs(mean - with_replacement) < 3 * error, (mean, with_replacement, error)
 
 
 def exact_nd_law(couplings, f_table, steps=STEPS, r_max=R_MAX):
