@@ -74,7 +74,9 @@ def _simulate(spec_of: Callable[[argparse.Namespace], SweepSpec],
 
 
 def _out_path(path: str | None) -> str | None:
-    """Refuse an ``--out`` that is a directory or lies in a missing one; return it."""
+    """Refuse an ``--out`` that is empty, a directory or in a missing one; return it."""
+    if path == "":  # os.path.dirname("") would pass it as "."
+        raise ValueError("--out is empty")
     if path is not None:
         if os.path.isdir(path):
             raise ValueError(f"--out {path} is a directory")

@@ -33,11 +33,10 @@ column-major, so each move's column is contiguous and a flip is two
 contiguous in-place adds; a C-ordered cache gives the same bits through
 strided views, only more slowly.
 :func:`heat_bath_weights` is the one definition of the heat-bath weights:
-:func:`conditional_spin_distribution` and the mean-field map call it, and
-:func:`advance` runs an inlined copy of its body, which the tests hold to
-it bit for bit, so the probabilities the dynamics samples are exactly the
-ones that function reports, and the mean-field theory applies the same
-softmax.
+the mean-field map calls it, and :func:`advance` runs an inlined copy of
+its body, which the tests hold to it bit for bit, so the dynamics samples
+exactly the probabilities it gives and the mean-field theory applies the
+same softmax.
 
 :func:`run_realization` draws the couplings and hands them to
 :func:`simulate`; ``experiment._one_worker_nds`` draws them apart from the
@@ -47,9 +46,9 @@ run, and its docstring says why.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -93,8 +92,8 @@ def seed_sequence(name: str, seed: object) -> np.random.SeedSequence:
     return np.random.SeedSequence(require_integer(name, seed, 0))
 
 
-def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> dict[int, float]:
-    """Build a drift table f(s) = log(weight) from positive, finite per-move weights.
+def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> tuple[float, float, float]:
+    """The drift table (log(w_down), log(w_stay), log(w_up)) of positive, finite weights.
 
     An isolated firm's move distribution is the normalized weight triple, so
     weights that already sum to 1 are that distribution verbatim.
@@ -102,41 +101,13 @@ def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> dict[int,
     weights = (w_down, w_stay, w_up)
     if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
         raise ValueError(f"drift weights must be positive and finite, got {weights}")
-    return {s: math.log(w) for s, w in zip(SPIN_VALUES, weights)}
-
-
-class FTable(Mapping):
-    """Read-only, hashable copy of a drift table f(s) keyed by the move.
-
-    It looks up like the dict it copies (``table[-1]`` is f(-1)), compares
-    equal to any mapping with the same items, and pickles, so the frozen
-    :class:`ModelParams` that holds it hashes and travels to worker
-    processes.
-    """
-
-    def __init__(self, table: Mapping[int, float]) -> None:
-        self._table = dict(table)
-
-    def __getitem__(self, move: int) -> float:
-        return self._table[move]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._table.items()))
-
-    def __repr__(self) -> str:
-        return repr(self._table)
+    return tuple(math.log(w) for w in weights)
 
 
 #: The drift table of each ``f_mode`` name a sweep document and ``--f-mode`` use.
 F_TABLES = {
-    "zero": FTable(dict.fromkeys(SPIN_VALUES, 0.0)),
-    "constant_table": FTable(f_table_from_weights(*RATING_DRIFT_WEIGHTS)),
+    "zero": (0.0, 0.0, 0.0),
+    "constant_table": f_table_from_weights(*RATING_DRIFT_WEIGHTS),
 }
 
 
@@ -158,10 +129,14 @@ class ModelParams:
         Time horizon; each step performs ``n_firms`` micro-updates on firms
         drawn uniformly with replacement (:func:`draw_update_order`).
     f_table:
-        Per-move drift term f(s), keyed by the move value -1/0/+1, each
-        value at most 1e300 in magnitude; ``F_TABLES["zero"]`` by default,
-        which is pure interaction dynamics.  Stored as an :class:`FTable` copy
-        of floats, so later changes to the caller's mapping do not reach it.
+        Per-move drift term (f(-1), f(0), f(+1)): a tuple or list of three
+        numbers, each at most 1e300 in magnitude; ``F_TABLES["zero"]`` by
+        default, which is pure interaction dynamics.  Stored as a tuple of
+        floats, so later changes to the caller's list do not reach it.
+
+    Every per-move triple in the package is in the order (down, stay, up):
+    ``f_table``, :data:`RATING_DRIFT_WEIGHTS` and the field-cache columns
+    ``local_fields[:, v + 1]``.
     """
 
     n_firms: int
@@ -169,7 +144,7 @@ class ModelParams:
     sigma_j: float = 0.0
     r_max: int = R_MAX
     steps: int = STEPS
-    f_table: Mapping[int, float] = F_TABLES["zero"]
+    f_table: tuple[float, float, float] = F_TABLES["zero"]
 
     def __post_init__(self) -> None:
         for name in ("n_firms", "r_max", "steps"):
@@ -182,19 +157,19 @@ class ModelParams:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.sigma_j < 0:
             raise ValueError(f"sigma_j must be >= 0, got {self.sigma_j}")
-        if set(self.f_table) != set(SPIN_VALUES):
-            raise ValueError(
-                f"f_table must have exactly the keys {SPIN_VALUES}, "
-                f"got {sorted(self.f_table)}"
-            )
-        if not all(math.isfinite(f) for f in self.f_table.values()):
-            raise ValueError(f"f_table values must be finite, got {dict(self.f_table)}")
-        table = FTable({move: float(f) for move, f in self.f_table.items()})
+        table = self.f_table  # a dict is refused, not read as its keys
+        if not (isinstance(table, (tuple, list)) and len(table) == 3
+                and all(isinstance(f, Real) for f in table)):
+            raise ValueError(f"f_table must be a tuple or list of three numbers "
+                             f"(f(-1), f(0), f(+1)), got {table!r}")
+        table = tuple(map(float, table))
+        if not all(abs(f) <= FIELD_MAX for f in table):  # NaN fails <= too
+            raise ValueError(f"each f_table value must be finite and at most 1e300, got {table}")
         object.__setattr__(self, "f_table", table)
         field_bound = (self.n_firms - 1) * (abs(self.j0) + 10 * self.sigma_j)
-        if max(field_bound, *(abs(f) for f in table.values())) > FIELD_MAX:
-            raise ValueError(f"(n_firms - 1) * (|j0| + 10 * sigma_j) and each |f| must be "
-                             f"at most 1e300, got {field_bound:g} and f_table={dict(table)}")
+        if field_bound > FIELD_MAX:
+            raise ValueError(f"(n_firms - 1) * (|j0| + 10 * sigma_j) must be at most 1e300, "
+                             f"got {field_bound:g}")
 
 
 @dataclass
@@ -310,23 +285,6 @@ def heat_bath_weights(a: float, b: float, c: float) -> tuple[float, float, float
     return 1.0, math.exp(b - a), math.exp(c - a)
 
 
-def conditional_spin_distribution(
-    state: EnsembleState, firm: int, f_table: Mapping[int, float]
-) -> np.ndarray:
-    """Heat-bath conditional (P(-1), P(0), P(+1)) for one firm's move.
-
-    P(v) is proportional to exp(h(v) + f(v)) with h read from the field
-    cache.  The weights come from :func:`heat_bath_weights`, whose body
-    :func:`advance` inlines, so the dynamics samples exactly these.
-    """
-    h_down, h_stay, h_up = state.local_fields[firm].tolist()
-    ea, eb, ec = heat_bath_weights(
-        h_down + f_table[-1], h_stay + f_table[0], h_up + f_table[1]
-    )
-    z = ea + eb + ec
-    return np.array([ea / z, eb / z, ec / z])
-
-
 def advance(
     state: EnsembleState,
     couplings: np.ndarray,
@@ -351,7 +309,7 @@ def advance(
     field-cache columns through memoryviews built once per call; they share
     the arrays' memory, so they see each flip's in-place column updates.
     """
-    f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)
+    f_down, f_stay, f_up = params.f_table
     r_max = params.r_max
     spins, ratings = memoryview(state.spins), memoryview(state.ratings)
     fields = state.local_fields

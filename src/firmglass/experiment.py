@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (F_TABLES, SPIN_VALUES, ModelParams, couplings_from_normals, require_integer,
+from .core import (F_TABLES, ModelParams, couplings_from_normals, require_integer,
                    run_realization, seed_sequence, simulate)
 # unused here: perfbench's traced sweep patches this name and
 # test_modules_expose_traced_names requires it; the benchmark change of
@@ -329,7 +329,7 @@ def result_to_dict(result: SweepResult) -> dict:
             "r_max": spec.base.r_max,
             "steps": spec.base.steps,
             "selection": "with_replacement",
-            "f_table": {str(s): spec.base.f_table[s] for s in SPIN_VALUES},
+            "f_table": dict(zip(("-1", "0", "1"), spec.base.f_table)),
         },
         "points": [
             {

@@ -20,8 +20,8 @@ from firmglass.core import (
     ModelParams,
     RATING_DRIFT_WEIGHTS,
     compute_local_fields,
-    conditional_spin_distribution,
     f_table_from_weights,
+    heat_bath_weights,
     initial_state,
     micro_update,
     sample_coupling_matrix,
@@ -300,7 +300,7 @@ def test_10_invariant_suite():
         r_max = int(rng.integers(1, 12))
         rating = int(rng.integers(0, r_max + 1))
         spin = int(rng.integers(-1, 2))
-        forced = {s: 0.0 if s == spin else -1000.0 for s in (-1, 0, 1)}
+        forced = tuple(0.0 if s == spin else -1000.0 for s in (-1, 0, 1))
         barrier_state = EnsembleState(
             ratings=np.array([rating], dtype=np.int64),
             spins=np.array([0], dtype=np.int64),
@@ -329,7 +329,9 @@ def test_10_invariant_suite():
     table = F_TABLES["zero"]
     for _ in range(10_000):
         state.local_fields[0] = rng.uniform(-1e6, 1e6, size=3)
-        probs = conditional_spin_distribution(state, 0, table)
+        weights = heat_bath_weights(
+            *(h + f for h, f in zip(state.local_fields[0].tolist(), table)))
+        probs = np.array(weights) / sum(weights)
         total = float(probs.sum())
         assert abs(total - 1.0) <= 1e-12
         assert np.all(probs >= 0) and np.all(probs <= 1)

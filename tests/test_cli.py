@@ -79,9 +79,9 @@ def test_run_constant_table_mode(capsys):
         assert code == 0
         doc = json.loads(out)
         assert doc["f_mode"] == name
-        tables[name] = {int(move): f for move, f in doc["base_params"]["f_table"].items()}
+        tables[name] = tuple(doc["base_params"]["f_table"].values())
         assert tables[name] == F_TABLES[name]
-    assert tables["zero"] == {-1: 0.0, 0: 0.0, 1: 0.0}
+    assert tables["zero"] == (0.0, 0.0, 0.0)
     assert tables["constant_table"] == f_table_from_weights(*RATING_DRIFT_WEIGHTS)
     assert preset_spec("fig8-9").base.f_table == tables["constant_table"]
 
@@ -386,7 +386,7 @@ def test_io_failure_exits_two(tmp_path, capsys):
 ], ids=lambda command: command[0])
 def test_unwritable_out_exits_one_before_any_work(command, tmp_path, capsys):
     for out, reason in ((tmp_path, "is a directory"),
-                        (tmp_path / "missing" / "o.json", "does not exist")):
+                        (tmp_path / "missing" / "o.json", "does not exist"), ("", "is empty")):
         code, stdout, err = run_cli(capsys, *command, "--out", str(out))
         assert code == 1, (command, out)
         [line] = err.splitlines()

@@ -15,12 +15,10 @@ import pytest
 from firmglass import cli, core, experiment, meanfield, riskstats
 from firmglass.core import (
     F_TABLES,
-    SPIN_VALUES,
     EnsembleState,
     ModelParams,
     advance,
     compute_local_fields,
-    conditional_spin_distribution,
     draw_update_order,
     f_table_from_weights,
     initial_state,
@@ -32,7 +30,7 @@ from firmglass.core import (
 from firmglass.meanfield import default_fraction_markov
 
 # a drift table with the up move forced (exp(-1000) underflows to exactly 0)
-ALWAYS_UP = {-1: -1000.0, 0: -1000.0, 1: 0.0}
+ALWAYS_UP = (-1000.0, -1000.0, 0.0)
 
 
 def make_state(couplings, ratings, spins):
@@ -57,11 +55,15 @@ def make_state(couplings, ratings, spins):
         {"n_firms": 10, "r_max": 0},
         {"n_firms": 10, "steps": 0},
         {"n_firms": 10, "sigma_j": -0.1},
-        {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0}},
-        {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0, 1: 0.0, 2: 0.0}},
+        {"n_firms": 10, "f_table": (0.0, 0.0)},
+        {"n_firms": 10, "f_table": (0.0, 0.0, 0.0, 0.0)},
+        # a dict, the old format, is refused, not read as its keys (-1, 0, 1)
+        {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0, 1: 0.0}},
+        {"n_firms": 10, "f_table": {0.0, 1.0, 2.0}},
+        {"n_firms": 10, "f_table": ("0", "0", "0")},
         {"n_firms": 10, "sigma_j": math.nan},
         {"n_firms": 10, "j0": math.inf},
-        {"n_firms": 10, "f_table": {-1: 0.0, 0: math.nan, 1: 0.0}},
+        {"n_firms": 10, "f_table": (0.0, math.nan, 0.0)},
         {"n_firms": 10.5},
         {"n_firms": 10, "r_max": 3.5},
         {"n_firms": 10, "steps": 8.0},
@@ -73,7 +75,7 @@ def make_state(couplings, ratings, spins):
         {"n_firms": 50, "j0": -1e308},
         {"n_firms": 50, "sigma_j": 1e308},
         {"n_firms": 3, "j0": 6e299},
-        {"n_firms": 10, "f_table": {-1: 0.0, 0: 0.0, 1: -1e301}},
+        {"n_firms": 10, "f_table": (0.0, 0.0, -1e301)},
     ],
 )
 def test_params_validation(kwargs):
@@ -82,18 +84,17 @@ def test_params_validation(kwargs):
 
 
 def test_params_hash_and_copy_their_drift_table():
-    table = f_table_from_weights(0.15, 0.75, 0.10)
+    table = list(f_table_from_weights(0.15, 0.75, 0.10))
     params = ModelParams(n_firms=3, f_table=table)
-    assert hash(params) == hash(ModelParams(n_firms=3, f_table=dict(table)))
-    original = dict(table)
-    table[0] = 5.0
-    assert params.f_table == original
-    assert [params.f_table[s] for s in (-1, 0, 1)] == [original[s] for s in (-1, 0, 1)]
+    assert hash(params) == hash(ModelParams(n_firms=3, f_table=tuple(table)))
+    original = tuple(table)
+    table[1] = 5.0
+    assert type(params.f_table) is tuple and params.f_table == original
     with pytest.raises(TypeError):
-        params.f_table[0] = 5.0
+        params.f_table[1] = 5.0
     restored = pickle.loads(pickle.dumps(params))
     assert restored == params and hash(restored) == hash(params)
-    assert restored.f_table[-1] == math.log(0.15)
+    assert restored.f_table == (math.log(0.15), math.log(0.75), math.log(0.10))
 
 
 def test_params_accept_numpy_integers():
@@ -103,20 +104,18 @@ def test_params_accept_numpy_integers():
 
 def test_params_store_numpy_floats_as_float():
     params = ModelParams(n_firms=10, j0=np.float64(0.005), sigma_j=np.float32(0.5),
-                         f_table={-1: np.float64(-1.0), 0: 0, 1: np.float32(0.5)})
+                         f_table=(np.float64(-1.0), 0, np.float32(0.5)))
     assert type(params.j0) is float and type(params.sigma_j) is float
-    assert [type(params.f_table[s]) for s in (-1, 0, 1)] == [float] * 3
+    assert [type(f) for f in params.f_table] == [float] * 3
     assert params == ModelParams(n_firms=10, j0=0.005, sigma_j=0.5,
-                                 f_table={-1: -1.0, 0: 0.0, 1: 0.5})
+                                 f_table=(-1.0, 0.0, 0.5))
     # the largest couplings and drift values a model may hold
-    ModelParams(n_firms=3, j0=5e299, f_table={-1: 1e300, 0: 0.0, 1: -1e300})
+    ModelParams(n_firms=3, j0=5e299, f_table=(1e300, 0.0, -1e300))
 
 
 def test_f_table_from_weights():
-    table = f_table_from_weights(0.15, 0.75, 0.10)
-    assert table[-1] == math.log(0.15)
-    assert table[0] == math.log(0.75)
-    assert table[1] == math.log(0.10)
+    assert f_table_from_weights(0.15, 0.75, 0.10) == (math.log(0.15), math.log(0.75),
+                                                      math.log(0.10))
     for weights in ((0.0, 0.5, 0.5), (math.nan, 0.5, 0.5), (0.15, math.inf, 0.10),
                     (0.15, 0.75, -math.inf)):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -219,9 +218,18 @@ def test_initial_state_field_cache():
 # ---------------------------------------------------------------------------
 
 
+def move_distribution(state, firm, f_table):
+    """Heat-bath (P(-1), P(0), P(+1)) of one firm's move: ``heat_bath_weights``
+    of its field-cache row plus the drift, normalized."""
+    fields = state.local_fields[firm].tolist()
+    ea, eb, ec = core.heat_bath_weights(*(h + f for h, f in zip(fields, f_table)))
+    z = ea + eb + ec
+    return np.array([ea / z, eb / z, ec / z])
+
+
 def test_conditional_isolated_uniform():
     state = make_state(np.zeros((2, 2)), [3, 3], [0, 0])
-    probs = conditional_spin_distribution(state, 0, F_TABLES["zero"])
+    probs = move_distribution(state, 0, F_TABLES["zero"])
     assert np.array_equal(probs, np.array([1 / 3, 1 / 3, 1 / 3]))
 
 
@@ -230,7 +238,7 @@ def test_conditional_isolated_drift_weights():
     # weight triple itself
     state = make_state(np.zeros((1, 1)), [3], [0])
     table = f_table_from_weights(0.15, 0.75, 0.10)
-    probs = conditional_spin_distribution(state, 0, table)
+    probs = move_distribution(state, 0, table)
     np.testing.assert_allclose(probs, [0.15, 0.75, 0.10], rtol=0, atol=1e-12)
 
 
@@ -239,7 +247,7 @@ def test_conditional_two_aligned_neighbors():
     couplings[0, 1] = couplings[1, 0] = 1.0
     couplings[0, 2] = couplings[2, 0] = 1.0
     state = make_state(couplings, [3, 3, 3], [0, 1, 1])
-    probs = conditional_spin_distribution(state, 0, F_TABLES["zero"])
+    probs = move_distribution(state, 0, F_TABLES["zero"])
     expected = math.e**2 / (math.e**2 + 2.0)  # softmax with one exponent of 2
     assert abs(probs[2] - expected) < 1e-12
 
@@ -250,7 +258,7 @@ def test_conditional_overflow_guard():
     state = make_state(np.zeros((1, 1)), [3], [0])
     for _ in range(1000):
         state.local_fields[0] = rng.uniform(-1e6, 1e6, size=3)
-        probs = conditional_spin_distribution(state, 0, F_TABLES["zero"])
+        probs = move_distribution(state, 0, F_TABLES["zero"])
         assert abs(float(probs.sum()) - 1.0) <= 1e-12
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
@@ -319,7 +327,7 @@ def test_barrier_exhaustive():
                     assert result == r_max
                 else:
                     assert result == rating + spin
-                forced = {s: 0.0 if s == spin else -1000.0 for s in (-1, 0, 1)}
+                forced = tuple(0.0 if s == spin else -1000.0 for s in (-1, 0, 1))
                 params = ModelParams(n_firms=1, r_max=r_max, f_table=forced)
                 state = make_state(couplings, [rating], [0])
                 advance(state, couplings, params, (0,), (0.5,))
@@ -515,7 +523,7 @@ def test_field_cache_layout_changes_only_speed():
 
 def test_advance_thresholds_match_conditional_distribution():
     # the move must switch exactly at P(-1) and at P(-1) + P(0) as
-    # conditional_spin_distribution reports them, to the last bit: a uniform
+    # move_distribution reports them, to the last bit: a uniform
     # equal to a threshold already takes the next move
     rng = np.random.default_rng(16)
     # magnitudes from 1e-2 to 1e6, so some distributions are spread out and
@@ -535,10 +543,10 @@ def test_advance_thresholds_match_conditional_distribution():
         for h in fields:
             state.local_fields[0] = h
             if fields is lattice:
-                a, b, c = (x + params.f_table[s] for x, s in zip(h.tolist(), SPIN_VALUES))
+                a, b, c = (x + f for x, f in zip(h.tolist(), params.f_table))
                 taken = ("c>b" if c > b else "b") if b > a else ("c>a" if c > a else "a")
                 branches[taken, len({a, b, c}) < 3] += 1
-            probs = conditional_spin_distribution(state, 0, params.f_table)
+            probs = move_distribution(state, 0, params.f_table)
             p_down, p_down_or_stay = float(probs[0]), float(probs[0] + probs[1])
             for threshold in (p_down, p_down_or_stay):
                 for u in (np.nextafter(threshold, -np.inf), threshold,
@@ -555,7 +563,7 @@ def test_advance_thresholds_match_conditional_distribution():
 def reference_advance(state, couplings, params, order, uniforms):
     """The engine's loop before its heat-bath weights were inlined: one
     softmax call per micro-update and a rating write even for a stay."""
-    f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)
+    f_down, f_stay, f_up = params.f_table
     r_max = params.r_max
     spins, ratings = memoryview(state.spins), memoryview(state.ratings)
     fields = state.local_fields

@@ -74,7 +74,7 @@ def test_f_mode_is_derived_from_f_table():
     assert drift.f_table == F_TABLES["constant_table"]
     for name, table in F_TABLES.items():
         assert desk_spec(base=replace(DESK, f_table=table)).f_mode == name
-    signed_zero = replace(DESK, f_table={-1: -0.0, 0: 0.0, 1: 0.0})
+    signed_zero = replace(DESK, f_table=(-0.0, 0.0, 0.0))
     assert desk_spec(base=signed_zero).f_mode == "zero"
     # a table that no name holds is written as null, not as a name's table
     custom = replace(DESK, f_table=f_table_from_weights(0.2, 0.6, 0.2))
@@ -208,7 +208,7 @@ def test_json_round_trip():
         params = doc["base_params"]
         base = ModelParams(
             **{name: params[name] for name in ("n_firms", "j0", "sigma_j", "r_max", "steps")},
-            f_table={int(move): f for move, f in params["f_table"].items()},
+            f_table=tuple(params["f_table"].values()),
         )
         assert SweepSpec(base, tuple(doc["values"]), doc["k_realizations"],
                          doc["master_seed"]) == spec
@@ -691,7 +691,7 @@ def exact_nd_law(couplings, f_table, steps=STEPS, r_max=R_MAX):
     ratings = np.arange(r_max + 1)
     shift = [np.eye(r_max + 1)[np.where(ratings == 0, 0, np.clip(ratings + v, 0, r_max))]
              for v in SPIN_VALUES]
-    drift = np.array([f_table[v] for v in SPIN_VALUES])
+    drift = np.array(f_table)
     # chosen[j, s_1..s_N, v] is 1 if firm j's move in the configuration is v
     chosen = (np.indices((3,) * n)[..., None] == np.arange(3)).astype(float)
     # weights[i][v][m, 1.., s_1..s_N] is P(firm i moves v | the other moves)
@@ -834,9 +834,7 @@ def test_presets_match_published_parameters():
     assert preset_spec("fig6-7").base.sigma_j == 0.2
     drift = preset_spec("fig8-9")
     assert drift.f_mode == "constant_table"
-    assert drift.base.f_table[-1] == math.log(0.15)
-    assert drift.base.f_table[0] == math.log(0.75)
-    assert drift.base.f_table[1] == math.log(0.10)
+    assert drift.base.f_table == (math.log(0.15), math.log(0.75), math.log(0.10))
     assert drift.values[0] == 0.0
     assert drift.values[-1] == pytest.approx(40.0 / 1000)
 

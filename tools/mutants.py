@@ -57,8 +57,11 @@ DEFECTS = (
      "ratings[firm] = rating + new",
      "ratings[firm] = rating + old"),
     ("the up and down drift weights are swapped", ENGINE,
-     "f_down, f_stay, f_up = (params.f_table[s] for s in SPIN_VALUES)",
-     "f_up, f_stay, f_down = (params.f_table[s] for s in SPIN_VALUES)"),
+     "f_down, f_stay, f_up = params.f_table",
+     "f_up, f_stay, f_down = params.f_table"),
+    ("the stay and up drift weights are swapped", ENGINE,
+     "f_down, f_stay, f_up = params.f_table",
+     "f_down, f_up, f_stay = params.f_table"),
     ("the reflecting barrier at r_max is dropped", ENGINE,
      "if rating != 0 and (rating != r_max or new != 1):",
      "if rating != 0:"),
