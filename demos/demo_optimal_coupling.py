@@ -40,11 +40,13 @@ result = run_sweep(spec)
 
 print(f"\nPer-move drift weights: down/stay/up = {RATING_DRIFT_WEIGHTS}\n")
 print(f"{'j0*N':>6} {'mean ND':>9} {'Var+':>10}")
-for point, j0n in zip(result.points, J0N_GRID):
-    print(f"{j0n:6.1f} {point.stats.mean_nd:9.2f} "
+# a value that failed on resource exhaustion has no point, so each row
+# reads its own j0 rather than its position in the grid
+for point in result.points:
+    print(f"{point.sweep_value * N_FIRMS:6.1f} {point.stats.mean_nd:9.2f} "
           f"{point.stats.semivariance_plus:10.2f}")
 
-best = J0N_GRID[result.argmin_index]
+best = result.argmin_sweep_value * N_FIRMS
 print(f"\nMean defaults are minimized at j0*N = {best:.0f}: moderate coupling")
 print("amplifies the drift's stabilizing pull.  Beyond it, collective")
 print("crashes take over and the semivariance jumps by orders of magnitude,")

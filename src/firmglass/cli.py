@@ -34,7 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import F_TABLES, R_MAX, RATING_DRIFT_WEIGHTS, STEPS, ModelParams, require_integer
+from .core import (F_TABLES, FIELD_MAX, R_MAX, RATING_DRIFT_WEIGHTS, STEPS, ModelParams,
+                   require_integer, require_real)
 from .experiment import (
     PRESET_NAMES,
     PRESET_SEED,
@@ -49,7 +50,6 @@ from .meanfield import (
     DEVIATION_GRID_STEP,
     _default_fractions,
     _deviation_grid_rows,
-    _require_beta,
     default_fraction_closed_form,
     default_fraction_markov,
     mean_field_fixed_points,
@@ -173,12 +173,11 @@ def _make_spec(args: argparse.Namespace, values: tuple[float, ...]) -> SweepSpec
     )
 
 
-def _range(args: argparse.Namespace, name: str) -> list[float]:
-    """The evenly spaced values that --NAME-min/--NAME-max/--NAME-points ask for."""
-    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
-    for flag, value in ((f"--{name}-min", lo), (f"--{name}-max", hi)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
+def _range(args: argparse.Namespace, name: str, low: float = -math.inf,
+           high: float = math.inf) -> list[float]:
+    """The evenly spaced values --NAME-min/--NAME-max/--NAME-points ask for, ends in [low, high]."""
+    lo, hi = (require_real(f"--{name}-{end}", getattr(args, f"{name}_{end}"), low, high)
+              for end in ("min", "max"))
     if hi <= lo:
         raise ValueError(f"--{name}-max ({hi}) must be greater than --{name}-min ({lo})")
     if not math.isfinite(hi - lo):
@@ -197,10 +196,7 @@ _MEANFIELD_FIELDS = ("p_up", "q_down", "stable", "nd_fraction")
 
 
 def _meanfield_payload(args: argparse.Namespace) -> Iterable[str]:
-    betas = _range(args, "beta")
-    # the typed ends are checked; every beta between them then passes
-    _require_beta(args.beta_min, "--beta-min")
-    _require_beta(args.beta_max, "--beta-max")
+    betas = _range(args, "beta", 0, FIELD_MAX)
     scan = [(beta, mean_field_fixed_points(beta)) for beta in betas]
     every_point = [point for _, points in scan for point in points]
     levels = iter(_default_fractions(

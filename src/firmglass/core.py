@@ -84,6 +84,27 @@ def require_integer(name: str, value: object, minimum: int) -> int:
     return value
 
 
+def require_real(name: str, value: object, low: float = -math.inf,
+                 high: float = math.inf) -> float:
+    """Refuse a number that is not a finite real in [low, high]; return it as ``float``.
+
+    numpy floats and integers pass; ``bool``, strings, ``None``, complex
+    numbers, NaN, +-inf and ints beyond the float range raise ``ValueError``.
+    """
+    if type(value) is not float:  # a plain float skips the slow ABC check
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got a number beyond float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low:g}, {high:g}], got {value}")
+    return value
+
+
 def seed_sequence(name: str, seed: object) -> np.random.SeedSequence:
     """The ``SeedSequence`` of an int >= 0 or a ``SeedSequence``; anything else
     (``None`` and a ``Generator`` would differ per call) raises ``ValueError``."""
@@ -99,9 +120,10 @@ def f_table_from_weights(w_down: float, w_stay: float, w_up: float) -> tuple[flo
     weights that already sum to 1 are that distribution verbatim.
     """
     weights = (w_down, w_stay, w_up)
-    if not all(0 < w < math.inf for w in weights):  # NaN fails every comparison
-        raise ValueError(f"drift weights must be positive and finite, got {weights}")
-    return tuple(math.log(w) for w in weights)
+    try:  # require_real refuses all but a finite w >= 0, and log refuses 0
+        return tuple(math.log(require_real("drift weights", w, 0)) for w in weights)
+    except ValueError:
+        raise ValueError(f"drift weights must be positive and finite, got {weights}") from None
 
 
 #: The drift table of each ``f_mode`` name a sweep document and ``--f-mode`` use.
@@ -120,8 +142,9 @@ class ModelParams:
     n_firms:
         Number of firms N.
     j0, sigma_j:
-        Mean and standard deviation of the Gaussian pairwise couplings;
-        (n_firms - 1) * (abs(j0) + 10 * sigma_j) must be at most 1e300.
+        Mean and standard deviation of the Gaussian pairwise couplings:
+        finite real numbers (:func:`require_real`) with sigma_j >= 0 and
+        (n_firms - 1) * (abs(j0) + 10 * sigma_j) at most 1e300.
     r_max:
         Top rating class; ratings live in {0, ..., r_max} with r_max + 1
         levels and 0 meaning default.
@@ -130,7 +153,7 @@ class ModelParams:
         drawn uniformly with replacement (:func:`draw_update_order`).
     f_table:
         Per-move drift term (f(-1), f(0), f(+1)): a tuple or list of three
-        numbers, each at most 1e300 in magnitude; ``F_TABLES["zero"]`` by
+        real numbers, each at most 1e300 in magnitude; ``F_TABLES["zero"]`` by
         default, which is pure interaction dynamics.  Stored as a tuple of
         floats, so later changes to the caller's list do not reach it.
 
@@ -149,24 +172,16 @@ class ModelParams:
     def __post_init__(self) -> None:
         for name in ("n_firms", "r_max", "steps"):
             object.__setattr__(self, name, require_integer(name, getattr(self, name), 1))
-        if not (math.isfinite(self.j0) and math.isfinite(self.sigma_j)):
-            raise ValueError(
-                f"j0 and sigma_j must be finite, got j0={self.j0}, sigma_j={self.sigma_j}"
-            )
-        for name in ("j0", "sigma_j"):  # a numpy scalar is stored as the float it equals
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.sigma_j < 0:
-            raise ValueError(f"sigma_j must be >= 0, got {self.sigma_j}")
+        object.__setattr__(self, "j0", require_real("j0", self.j0))
+        object.__setattr__(self, "sigma_j", require_real("sigma_j", self.sigma_j, 0))
         table = self.f_table  # a dict is refused, not read as its keys
-        if not (isinstance(table, (tuple, list)) and len(table) == 3
-                and all(isinstance(f, Real) for f in table)):
+        if not (isinstance(table, (tuple, list)) and len(table) == 3):
             raise ValueError(f"f_table must be a tuple or list of three numbers "
                              f"(f(-1), f(0), f(+1)), got {table!r}")
-        table = tuple(map(float, table))
-        if not all(abs(f) <= FIELD_MAX for f in table):  # NaN fails <= too
-            raise ValueError(f"each f_table value must be finite and at most 1e300, got {table}")
-        object.__setattr__(self, "f_table", table)
-        field_bound = (self.n_firms - 1) * (abs(self.j0) + 10 * self.sigma_j)
+        object.__setattr__(self, "f_table", tuple(
+            require_real("f_table value", f, -FIELD_MAX, FIELD_MAX) for f in table))
+        n_firms = require_real("n_firms", self.n_firms, 1, FIELD_MAX)  # an int * float overflows
+        field_bound = (n_firms - 1) * (abs(self.j0) + 10 * self.sigma_j)
         if field_bound > FIELD_MAX:
             raise ValueError(f"(n_firms - 1) * (|j0| + 10 * sigma_j) must be at most 1e300, "
                              f"got {field_bound:g}")

@@ -18,7 +18,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 import time
 from collections.abc import Iterable, Iterator, Sequence
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import (F_TABLES, ModelParams, couplings_from_normals, require_integer,
-                   run_realization, seed_sequence, simulate)
+                   require_real, run_realization, seed_sequence, simulate)
 # unused here: perfbench's traced sweep patches this name and
 # test_modules_expose_traced_names requires it; the benchmark change of
 # ROADMAP item 5 removes both
@@ -58,10 +57,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.values) == 0:
             raise ValueError("values must be non-empty")
-        if not all(math.isfinite(value) for value in self.values):
-            raise ValueError(f"values must be finite, got {self.values}")
         # numpy scalars are stored as the floats they equal
-        object.__setattr__(self, "values", tuple(float(value) for value in self.values))
+        object.__setattr__(self, "values", tuple(require_real("values", v) for v in self.values))
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValueError(f"values must be strictly increasing, got {self.values}")
         for name, minimum in (("k_realizations", 1), ("master_seed", 0)):

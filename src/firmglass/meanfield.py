@@ -62,7 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FIELD_MAX, R_MAX, STEPS, ModelParams, heat_bath_weights, require_integer
+from .core import (FIELD_MAX, R_MAX, STEPS, ModelParams, heat_bath_weights, require_integer,
+                   require_real)
 
 PARAMAGNETIC = "paramagnetic"
 FERROMAGNETIC = "ferromagnetic"
@@ -77,35 +78,24 @@ _BLOCK_FLOATS = 1 << 15  # 256 KiB of matrix stack per block: 512 pairs at R_MAX
 _EXP_CAP = 709.0  # exp() of a larger exponent overflows a float
 
 
-def _require_beta(beta: float, name: str = "beta") -> None:
-    # above ~2.74e307 the capped g stays negative at its maximum, and the
-    # ordered and saddle roots would be lost
-    if not 0 <= beta <= FIELD_MAX:  # NaN fails the comparison
-        raise ValueError(f"{name} must be in [0, {FIELD_MAX:g}], got {beta}")
-
-
 def _require_simplex(prob_up: float, prob_down: float) -> None:
-    """Refuse a move-probability pair off the simplex; NaN fails every test."""
-    on_simplex = prob_up + prob_down <= 1 + _SIMPLEX_TOL
-    if not (prob_up >= 0 and prob_down >= 0 and on_simplex):
-        raise ValueError(
-            "probabilities must be >= 0 with a sum <= 1, got "
-            f"up {prob_up}, down {prob_down}"
-        )
+    """Refuse a move-probability pair off the simplex."""
+    up = require_real("probabilities (up)", prob_up, 0)
+    down = require_real("probabilities (down)", prob_down, 0)
+    if not up + down <= 1 + _SIMPLEX_TOL:
+        raise ValueError(f"probabilities must have a sum <= 1, got up {up}, down {down}")
 
 
 @dataclass(frozen=True)
 class MeanFieldPoint:
-    """A (p_up, q_down) pair at effective coupling beta, with stability."""
+    """A fixed point's move probabilities (p_up, q_down) on the simplex, with stability."""
 
     p_up: float
     q_down: float
-    beta: float
     stable: bool
 
     def __post_init__(self) -> None:
         _require_simplex(self.p_up, self.q_down)
-        _require_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -132,7 +122,7 @@ def mean_field_map(p_up: float, q_down: float, beta: float) -> tuple[float, floa
     (NaN included) is refused.
     """
     _require_simplex(p_up, q_down)
-    _require_beta(beta)
+    beta = require_real("beta", beta, 0, FIELD_MAX)
     ea, eb, ec = heat_bath_weights(
         beta * p_up, beta * q_down, beta * (1.0 - p_up - q_down)
     )
@@ -242,13 +232,15 @@ def mean_field_fixed_points(beta: float) -> list[MeanFieldPoint]:
     a < 2 / (3 beta) and g rises through it; the saddle fails the second
     below 3 (g falls through it) and the first above 3 (a > 1/3).
     """
-    _require_beta(beta)
-    scalar = float(beta)  # numpy scalars bisect slowly and make numpy bools; store floats
+    # a float, as numpy scalars bisect slowly and make numpy bools; above
+    # ~2.74e307 the capped g stays negative at its maximum, and the ordered
+    # and saddle roots would be lost
+    beta = require_real("beta", beta, 0, FIELD_MAX)
     third = 1.0 / 3.0
-    points = [MeanFieldPoint(p_up=third, q_down=third, beta=scalar, stable=scalar < 3.0)]
-    for a, stable in zip(_roots_off_third(scalar), (True, False)):
+    points = [MeanFieldPoint(p_up=third, q_down=third, stable=beta < 3.0)]
+    for a, stable in zip(_roots_off_third(beta), (True, False)):
         b = 1.0 - 2.0 * a
-        points += [MeanFieldPoint(p_up=p, q_down=q, beta=scalar, stable=stable)
+        points += [MeanFieldPoint(p_up=p, q_down=q, stable=stable)
                    for p, q in ((a, a), (b, a), (a, b))]
     return points
 
@@ -421,8 +413,7 @@ def _deviation_grid_rows(
     ``name``; a caller that streams the rows holds one numpy block at a time,
     never the whole grid.
     """
-    if not 1e-3 <= grid_step <= 1:
-        raise ValueError(f"{name} must be in [0.001, 1], got {grid_step}")
+    grid_step = require_real(name, grid_step, 1e-3, 1)
     n_levels = round(1.0 / grid_step)
     if abs(n_levels * grid_step - 1.0) > 1e-9:
         raise ValueError(f"{name} must divide 1, got {grid_step}")

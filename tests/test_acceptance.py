@@ -206,7 +206,8 @@ def test_07_drift_field_optimum():
         master_seed=107,
     )
     result = run_sweep(spec, threads=WORKERS)
-    argmin_j0n = j0n_grid[result.argmin_index]
+    assert result.metadata["failed_values"] == {}  # else points[-1] is not j0*N = 40
+    argmin_j0n = result.argmin_sweep_value * n
     var_at_min = result.points[result.argmin_index].stats.semivariance_plus
     var_at_top = result.points[-1].stats.semivariance_plus
     ok = 10.0 <= argmin_j0n <= 30.0 and var_at_top >= 10.0 * var_at_min

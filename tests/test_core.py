@@ -111,6 +111,9 @@ def test_params_store_numpy_floats_as_float():
                                  f_table=(-1.0, 0.0, 0.5))
     # the largest couplings and drift values a model may hold
     ModelParams(n_firms=3, j0=5e299, f_table=(1e300, 0.0, -1e300))
+    assert type(ModelParams(n_firms=3, j0=np.int64(1)).j0) is float
+    spec = experiment.SweepSpec(ModelParams(n_firms=3), (np.int64(0), np.float32(0.5)), 1, 0)
+    assert [type(value) for value in spec.values] == [float, float] and spec.values == (0.0, 0.5)
 
 
 def test_f_table_from_weights():
@@ -120,6 +123,51 @@ def test_f_table_from_weights():
                     (0.15, 0.75, -math.inf)):
         with pytest.raises(ValueError, match="positive and finite"):
             f_table_from_weights(*weights)
+
+
+#: every library entry that takes a real number: a call with one bad value,
+#: and the parameter name its refusal must give
+REAL_INPUTS = {
+    "ModelParams.j0": (lambda v: ModelParams(n_firms=3, j0=v), "j0"),
+    "ModelParams.sigma_j": (lambda v: ModelParams(n_firms=3, sigma_j=v), "sigma_j"),
+    "ModelParams.f_table": (lambda v: ModelParams(n_firms=3, f_table=(0.0, v, 0.0)), "f_table"),
+    "f_table_from_weights": (lambda v: f_table_from_weights(0.15, v, 0.10), "drift weights"),
+    "SweepSpec.values": (lambda v: experiment.SweepSpec(ModelParams(n_firms=3), (0.0, v), 1, 0),
+                         "values"),
+    "mean_field_fixed_points": (meanfield.mean_field_fixed_points, "beta"),
+    "mean_field_map.beta": (lambda v: meanfield.mean_field_map(0.2, 0.2, v), "beta"),
+    "mean_field_map.p_up": (lambda v: meanfield.mean_field_map(v, 0.2, 1.0),
+                            "probabilities (up)"),
+    "MeanFieldPoint": (lambda v: meanfield.MeanFieldPoint(p_up=0.2, q_down=v, stable=True),
+                       "probabilities (down)"),
+    "default_fraction_markov": (lambda v: default_fraction_markov(v, 0.2), "probabilities (up)"),
+    "default_fraction_closed_form": (lambda v: meanfield.default_fraction_closed_form(v, 0.2),
+                                     "probabilities (down)"),
+    "closed_form_deviation_grid": (meanfield.closed_form_deviation_grid, "grid_step"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_INPUTS))
+def test_every_real_input_refuses_what_is_not_a_finite_real(entry):
+    call, name = REAL_INPUTS[entry]
+    wrong = []
+    for value in (None, "0.1", 1j, True, 10**400, math.nan, math.inf):
+        try:
+            call(value)
+            wrong.append(f"{value!r:.12}: accepted")
+        except ValueError as exc:
+            if name not in str(exc):
+                wrong.append(f"{value!r:.12}: {str(exc)[:80]}")
+        except Exception as exc:  # noqa: BLE001 - any other type is the defect
+            wrong.append(f"{value!r:.12}: {type(exc).__name__}")
+    assert wrong == []
+
+
+def test_counts_beyond_the_float_range_are_refused():
+    for build in (lambda: ModelParams(n_firms=10**400),
+                  lambda: experiment.preset_spec("fig8-9", n_firms=10**400)):
+        with pytest.raises(ValueError, match="n_firms"):
+            build()
 
 
 # ---------------------------------------------------------------------------

@@ -222,21 +222,18 @@ def test_fixed_points_hold_floats():
     for beta in (0.0, 2.0, 6.0, 40.0):
         for point in mean_field_fixed_points(beta):
             assert type(point.p_up) is float and type(point.q_down) is float
-            assert type(point.beta) is float and type(point.stable) is bool
+            assert type(point.stable) is bool
     # the CLI passes np.linspace values: a flag compared in numpy scalars
     # would be a numpy.bool, which json cannot write
     for beta in np.linspace(0.0, 40.0, 17):
         for point in mean_field_fixed_points(beta):
             assert type(point.p_up) is float and type(point.q_down) is float
-            assert type(point.beta) is float and type(point.stable) is bool
+            assert type(point.stable) is bool
 
 
 def test_meanfield_point_validation():
     with pytest.raises(ValueError):
-        MeanFieldPoint(p_up=0.8, q_down=0.3, beta=1.0, stable=True)
-    for beta in (-1.0, math.nan, math.inf, 1e301):
-        with pytest.raises(ValueError, match="beta"):
-            MeanFieldPoint(p_up=0.2, q_down=0.2, beta=beta, stable=True)
+        MeanFieldPoint(p_up=0.8, q_down=0.3, stable=True)
 
 
 # ---------------------------------------------------------------------------

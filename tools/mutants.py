@@ -1,4 +1,4 @@
-"""Which one-line defects in the engine does the test suite catch?
+"""Which one-line defects in the engine and the input rule does the test suite catch?
 
 Copies the package, its tests and the files they read into a temporary
 directory, then, one defect at a time, applies the defect to the copy as an
@@ -68,6 +68,14 @@ DEFECTS = (
     ("firms are drawn without replacement", ENGINE,
      "return rng.integers(0, params.n_firms, size=params.n_firms)",
      "return rng.permutation(params.n_firms)"),
+    ("require_real accepts a bool", ENGINE,
+     "if isinstance(value, bool) or not isinstance(value, Real):",
+     "if not isinstance(value, Real):"),
+    # skipping the whole range check lets a test build the grid of step
+    # 1e-4, 50 million rows, which exhausts the memory of a small machine
+    ("require_real skips its upper bound", ENGINE,
+     "if not low <= value <= high:",
+     "if not low <= value:"),
 )
 
 
